@@ -196,8 +196,10 @@ void BM_ChaosRandomSchedule(benchmark::State& state) {
     sim::Engine engine;
     sim::ChaosController chaos(engine, 5);
     for (int i = 0; i < targets; ++i) {
-      chaos.RegisterTarget("t" + std::to_string(i), [] {}, [] {});
-      chaos.ScheduleRandomFaults("t" + std::to_string(i), sim::SimTime::Zero(),
+      std::string target = "t";
+      target += std::to_string(i);
+      chaos.RegisterTarget(target, [] {}, [] {});
+      chaos.ScheduleRandomFaults(target, sim::SimTime::Zero(),
                                  sim::SimTime::Seconds(60),
                                  sim::SimTime::Seconds(1),
                                  sim::SimTime::Millis(200));

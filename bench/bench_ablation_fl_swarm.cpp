@@ -78,7 +78,9 @@ swarm::PlacementProblem MakeProblem(std::size_t tasks, std::size_t nodes,
                        rng.Uniform(1, 200)});
   }
   for (std::size_t i = 0; i < nodes; ++i) {
-    p.nodes.push_back({"n" + std::to_string(i), rng.Uniform(4, 64),
+    std::string id = "n";
+    id += std::to_string(i);
+    p.nodes.push_back({std::move(id), rng.Uniform(4, 64),
                        rng.Uniform(2048, 65536), static_cast<int>(rng.NextBounded(3)),
                        rng.NextBool(0.4), rng.Uniform(100, 900),
                        rng.Uniform(1, 40)});

@@ -54,9 +54,14 @@ double MillisSince(std::chrono::steady_clock::time_point t0) {
 std::uint64_t RunDseSweep() {
   dpe::DataflowGraph graph;
   const std::size_t n_actors = g_quick ? 6 : 9;
+  const auto actor_name = [](std::size_t a) {
+    std::string name = "a";
+    name += std::to_string(a);
+    return name;
+  };
   for (std::size_t a = 0; a < n_actors; ++a) {
     dpe::Actor actor;
-    actor.name = "a" + std::to_string(a);
+    actor.name = actor_name(a);
     actor.cycles_per_firing = 1'000'000 + 137'000 * a;
     actor.state_bytes = 2048;
     actor.accelerable = (a % 2) == 0;
@@ -65,7 +70,7 @@ std::uint64_t RunDseSweep() {
   }
   for (std::size_t a = 0; a + 1 < n_actors; ++a) {
     util::MustOk(graph.AddChannel(
-        {"a" + std::to_string(a), "a" + std::to_string(a + 1), 1, 1, 4096}));
+        {actor_name(a), actor_name(a + 1), 1, 1, 4096}));
   }
   dpe::KpiEstimator estimator(graph, dpe::HmpsocTargets());
   auto exhaustive = dpe::ExploreExhaustive(estimator, 2'000'000);

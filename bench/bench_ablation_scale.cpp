@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "kb/store.hpp"
 #include "mirto/agent.hpp"
 #include "net/transport.hpp"
+#include "oracle/mape_oracle.hpp"
 #include "sched/controller.hpp"
 #include "sched/scheduler.hpp"
 #include "util/bytes.hpp"
@@ -187,17 +189,22 @@ double MapeP99Ms(std::size_t n_pods, std::size_t iterations) {
 }
 
 // --- MAPE churn ablation -----------------------------------------------------
-// Twin worlds replay the same scripted ~1%-of-fleet node churn; one MIRTO
-// agent monitors with the full fleet walk, the other with the event-driven
-// incremental path (change-epoch dirty sets). The worlds run sequentially —
-// that halves peak RSS and cannot skew the comparison because the churn
-// script is drawn once up front. Churn is bounces/wiggles/submissions rather
-// than sustained outages: a down node with pods would trigger Reconcile in
-// Execute, identical work on both paths that is already timed separately by
+// Twin worlds replay the same scripted ~1%-of-fleet node churn. In the first,
+// the full-walk MAPE oracle (tests/oracle/) recomputes each iteration's
+// outcome from public state by walking every node before the MIRTO agent
+// runs it; "full" times that walk, and the FNV witness compares the oracle's
+// expected snapshot with the agent's outcome after every iteration (registry
+// NodeRecords, SLO engine state, published /slo verdicts, trust scores,
+// planned operating-point decisions). In the second world the agent runs
+// alone and "incremental" times its event-driven iteration (change-epoch
+// dirty sets): timed next to the oracle, the agent would pay for the cache
+// the oracle's walk and snapshots evict. The worlds run sequentially, which
+// halves peak RSS and cannot skew the comparison because the churn script is
+// drawn once up front. Churn is bounces/wiggles/submissions rather than
+// sustained outages: a down node with pods would trigger Reconcile in
+// Execute, agent-side work that is already timed separately by
 // reconcile_p99 and would only mask the Monitor/Analyze/Plan delta this
-// ablation isolates. Equivalence is an FNV witness over the observable MAPE
-// outcomes: registry NodeRecords, SLO engine state, published /slo verdicts,
-// trust scores, planned operating-point decisions, and pod counts.
+// ablation isolates.
 
 struct ChurnOp {
   std::size_t node = 0;
@@ -224,14 +231,13 @@ std::vector<std::vector<ChurnOp>> MakeChurnScript(std::size_t n_nodes,
 }
 
 struct MapeChurnResult {
-  double p99_ms = 0.0;
-  std::uint64_t witness = 0;
-  std::uint64_t nodes_observed = 0;
-  double rss_mb = 0.0;
+  double p99_ms = 0.0;  // the oracle's walk, or the agent's iteration alone
+  bool outcomes_match = false;
+  bool agent_exercised = false;
 };
 
 MapeChurnResult RunMapeChurnWorld(
-    std::size_t n_pods, std::size_t n_nodes, mirto::MonitorPath path,
+    std::size_t n_pods, std::size_t n_nodes, bool with_oracle,
     const std::vector<std::vector<ChurnOp>>& script) {
   MapeChurnResult result;
   sim::Engine engine;
@@ -258,17 +264,19 @@ MapeChurnResult RunMapeChurnWorld(
   kb::Store store;
   mirto::AgentConfig config;
   config.host = "mirto-agent";
-  config.monitor_path = path;
   mirto::MirtoAgent agent(net, cluster, infra, store,
                           mirto::AuthModule(util::BytesOf("bench")), config);
+  std::optional<oracle::MapeOracle> reference;
+  if (with_oracle) reference.emplace(agent, cluster, infra, store, engine);
   for (std::size_t i = 0; i < n_pods; ++i) {
     sched::PodSpec pod = MakePod(i, zones, "m");
     if (!cluster.BindPod(pod).ok()) break;
   }
-  result.rss_mb = ProcStatusMb("VmRSS:");
 
   std::vector<double> samples;
   samples.reserve(script.size());
+  std::string expected_digests;
+  std::string agent_digests;
   for (const auto& ops : script) {
     for (const ChurnOp& op : ops) {
       continuum::ComputeNode& node = *infra.nodes[op.node];
@@ -285,49 +293,30 @@ MapeChurnResult RunMapeChurnWorld(
     }
     engine.RunUntil(engine.Now() + sim::SimTime::Millis(100));
     const auto t0 = std::chrono::steady_clock::now();
-    agent.RunMapeIteration();
+    if (!reference) {
+      agent.RunMapeIteration();
+      samples.push_back(MillisSince(t0));
+      continue;
+    }
+    reference->Expect();
     samples.push_back(MillisSince(t0));
+    agent.RunMapeIteration();
+    expected_digests +=
+        std::to_string(util::Fnv1a64(reference->ExpectedSnapshot()));
+    expected_digests.push_back('\n');
+    agent_digests += std::to_string(util::Fnv1a64(reference->AgentSnapshot()));
+    agent_digests.push_back('\n');
   }
   result.p99_ms = Percentile99(std::move(samples));
-  result.nodes_observed = agent.stats().nodes_observed;
-
-  // Outcome witness: everything the MAPE loop is allowed to affect.
-  std::string out;
-  for (const kb::NodeRecord& record : agent.registry().ListNodes()) {
-    out += record.ToJson().Dump();
-    out.push_back('\n');
+  if (reference) {
+    result.outcomes_match =
+        util::Fnv1a64(expected_digests) == util::Fnv1a64(agent_digests);
+    // The witness must not be vacuous: the agent has to have observed
+    // strictly fewer nodes than the oracle walked, or the equivalence never
+    // covered the event-driven monitor path at all.
+    result.agent_exercised =
+        agent.stats().nodes_observed < reference->nodes_walked();
   }
-  for (const char* objective : {"fleet.availability", "pod.start_wait"}) {
-    if (const telemetry::SloStatus* s = agent.slo_engine().Find(objective)) {
-      out += util::Json::MakeObject()
-                 .Set("objective", std::string(objective))
-                 .Set("state", std::string(telemetry::SloStateName(s->state)))
-                 .Set("fast", s->fast_burn_rate)
-                 .Set("slow", s->slow_burn_rate)
-                 .Set("observations", s->observations)
-                 .Set("bad", s->bad)
-                 .Set("breaches", s->breaches)
-                 .Dump();
-      out.push_back('\n');
-    }
-    if (auto verdict = agent.registry().GetSloState("mirto-agent", objective);
-        verdict.ok()) {
-      out += verdict->Dump();
-      out.push_back('\n');
-    }
-  }
-  for (const auto& node : infra.nodes) {
-    out += node->id() + "=" +
-           std::to_string(agent.security_manager().TrustOf(node->id()));
-    out.push_back('\n');
-  }
-  for (const mirto::NodeManager::Decision& d : agent.planned_decisions()) {
-    out += d.node_id + "/" + std::to_string(d.device_index) + "->" +
-           std::to_string(d.operating_point) + "\n";
-  }
-  out += "pending=" + std::to_string(cluster.PendingPods()) +
-         " running=" + std::to_string(cluster.RunningPods());
-  result.witness = util::Fnv1a64(out);
   return result;
 }
 
@@ -345,23 +334,18 @@ MapeAblation RunMapeChurnAblation(std::size_t n_pods, std::size_t n_nodes) {
   MapeAblation result;
   result.pods = n_pods;
   result.nodes = n_nodes;
-  const std::size_t iterations = g_quick ? 12 : 40;
-  const auto script = MakeChurnScript(n_nodes, iterations);
+  const auto script = MakeChurnScript(n_nodes, g_quick ? 12 : 40);
   const MapeChurnResult full =
-      RunMapeChurnWorld(n_pods, n_nodes, mirto::MonitorPath::kFull, script);
-  const MapeChurnResult incremental = RunMapeChurnWorld(
-      n_pods, n_nodes, mirto::MonitorPath::kIncremental, script);
+      RunMapeChurnWorld(n_pods, n_nodes, /*with_oracle=*/true, script);
+  const MapeChurnResult incremental =
+      RunMapeChurnWorld(n_pods, n_nodes, /*with_oracle=*/false, script);
   result.full_p99_ms = full.p99_ms;
   result.incremental_p99_ms = incremental.p99_ms;
   result.speedup = incremental.p99_ms > 0
                        ? full.p99_ms / incremental.p99_ms
                        : 0.0;
-  result.outcomes_match = full.witness == incremental.witness;
-  // The witness must not be vacuous: the incremental agent has to have
-  // observed strictly fewer nodes than the full walk, or the "equivalence"
-  // never covered the incremental monitor path at all.
-  result.incremental_exercised =
-      incremental.nodes_observed < full.nodes_observed;
+  result.outcomes_match = full.outcomes_match;
+  result.incremental_exercised = full.agent_exercised;
   return result;
 }
 
@@ -382,17 +366,19 @@ ScaleRow RunScalePoint(std::size_t n_pods) {
       indexed_ms > 0 ? 1000.0 * static_cast<double>(n_pods) / indexed_ms : 0.0;
   row.rss_mb = ProcStatusMb("VmRSS:");
 
-  // Scan-path sample on the same loaded fleet (the ablation baseline).
+  // Scan-path sample on the same loaded fleet (the ablation baseline): the
+  // scan reference picks the node, BindPodToNode commits it.
   const std::size_t scan_n = std::min<std::size_t>(n_pods, 500);
-  w.cluster->set_schedule_path(sched::Cluster::SchedulePath::kScan);
+  const sched::Scheduler scan_sched = sched::Scheduler::Default();
   const auto t1 = std::chrono::steady_clock::now();
   for (std::size_t j = 0; j < scan_n; ++j) {
-    if (!w.cluster->BindPod(MakePod(n_pods + j, w.zones, "s")).ok()) {
+    const sched::PodSpec pod = MakePod(n_pods + j, w.zones, "s");
+    auto chosen = scan_sched.Schedule(pod, w.cluster->NodeStates());
+    if (!chosen.ok() || !w.cluster->BindPodToNode(pod, chosen->node_id).ok()) {
       ++row.failures;
     }
   }
   const double scan_ms = MillisSince(t1);
-  w.cluster->set_schedule_path(sched::Cluster::SchedulePath::kIndexed);
   row.scan_pods_per_s =
       scan_ms > 0 ? 1000.0 * static_cast<double>(scan_n) / scan_ms : 0.0;
   row.speedup = row.scan_pods_per_s > 0
@@ -482,13 +468,15 @@ bool RunAblation(const std::string& out_path) {
                      /*higher_is_better=*/false, /*gate=*/false);
   }
 
-  // MAPE churn ablation at the largest scale of this run: full-walk vs.
-  // event-driven Monitor/Analyze/Plan under ~1% node churn per iteration.
+  // MAPE churn ablation at the largest scale of this run: the oracle's
+  // full walk vs. the agent's event-driven Monitor/Analyze/Plan under ~1%
+  // node churn per iteration.
   const MapeAblation mape =
       RunMapeChurnAblation(scales.back(), top_scale_nodes);
   std::printf(
       "--- MAPE churn ablation: %zu pods / %zu nodes, 1%% churn ---\n"
-      "full p99 %.3f ms | incremental p99 %.3f ms | speedup %.1fx | %s\n",
+      "full (oracle) p99 %.3f ms | incremental (agent) p99 %.3f ms | "
+      "speedup %.1fx | %s\n",
       mape.pods, mape.nodes, mape.full_p99_ms, mape.incremental_p99_ms,
       mape.speedup, mape.outcomes_match ? "outcomes match" : "MISMATCH");
 
@@ -544,18 +532,19 @@ bool RunAblation(const std::string& out_path) {
                 gate_speedup, gate_scale);
   }
   if (!mape_speedup_ok) {
-    std::printf("FATAL: incremental MAPE is only %.1fx the full walk at %zu "
+    std::printf("FATAL: incremental MAPE is only %.1fx the oracle's full walk "
+                "at %zu "
                 "pods / %zu nodes (>= 10x required)\n",
                 mape.speedup, mape.pods, mape.nodes);
   }
   if (!mape.outcomes_match) {
-    std::printf("FATAL: full-walk and incremental MAPE outcomes diverged — "
-                "the monitor-path equivalence contract is broken\n");
+    std::printf("FATAL: the agent's MAPE outcome diverged from the full-walk "
+                "oracle's expectation — the equivalence contract is broken\n");
   }
   if (!mape.incremental_exercised) {
     std::printf("FATAL: the MAPE equivalence witness is vacuous — the "
-                "incremental agent observed as many nodes as the full walk, "
-                "so the incremental monitor path was never covered\n");
+                "agent observed as many nodes as the oracle walked, so the "
+                "event-driven monitor path was never covered\n");
   }
   return all_placed && all_verdicts_match && speedup_ok && mape_speedup_ok &&
          mape_equivalent;

@@ -211,11 +211,11 @@ void BM_BB_PrioritySlicing(benchmark::State& state) {
     net::Network network(engine, std::move(t), 4);
     network.Attach("b", [](const net::Message&) {});
     for (int i = 0; i < 32; ++i) {
-      net::Message bulk;
-      bulk.from = "a";
-      bulk.to = "b";
-      bulk.kind = "bulk";
-      bulk.body_bytes = 1000;
+      net::Message bulk{.from = "a",
+                        .to = "b",
+                        .kind = "bulk",
+                        .payload = {},
+                        .body_bytes = 1000};
       util::MustOk(network.Send(std::move(bulk)));
     }
     net::Message control;

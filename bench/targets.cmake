@@ -17,3 +17,6 @@ foreach(src ${bench_sources})
                         benchmark::benchmark Threads::Threads)
   set_target_properties(${name} PROPERTIES RUNTIME_OUTPUT_DIRECTORY "${CMAKE_BINARY_DIR}/bench")
 endforeach()
+
+# The MAPE churn ablation times the full-walk oracle from tests/oracle/.
+target_link_libraries(bench_ablation_scale PRIVATE myrtus_oracle)

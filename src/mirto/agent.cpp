@@ -62,12 +62,12 @@ MirtoAgent::MirtoAgent(net::Network& network, sched::Cluster& cluster,
       node_(),
       netmgr_(network.topology()),
       psm_(),
-      monitor_path_(config_.monitor_path) {
+      tracker_listener_(infra_.change_tracker().AddListener(infra_.nodes)) {
   // Observability is watch-driven, not poll-only: a component record
   // vanishing from the registry (e.g. heartbeat-lease expiry) marks the
   // fleet dirty for the next MAPE Analyze pass, and any external write under
   // /registry/nodes/ is mirrored into the change-tracker dirty set so the
-  // incremental Monitor re-observes that node. The agent's own registry
+  // next Monitor re-observes that node. The agent's own registry
   // writes are suppressed via self_registry_write_ (Store::Notify fires
   // synchronously inside Put/Delete).
   registry_watch_ = kb_.Watch(
@@ -75,7 +75,7 @@ MirtoAgent::MirtoAgent(net::Network& network, sched::Cluster& cluster,
         if (event.type == kb::WatchEvent::Type::kDelete) {
           failure_signal_ = true;
         }
-        if (self_registry_write_ || tracker_listener_ < 0) return;
+        if (self_registry_write_) return;
         const std::string prefix = kb::ResourceRegistry::NodeKey("");
         if (event.kv.key.size() <= prefix.size()) return;
         infra_.change_tracker().MarkDirtyById(
@@ -111,30 +111,6 @@ MirtoAgent::MirtoAgent(net::Network& network, sched::Cluster& cluster,
       [this](const std::string&, const telemetry::SloStatus&, bool breached) {
         if (breached) ++stats_.slo_breaches;
       });
-}
-
-void MirtoAgent::set_monitor_path(MonitorPath path) {
-  if (path == monitor_path_) return;
-  monitor_path_ = path;
-  // Reset the incremental caches on every switch. Entering kIncremental
-  // registers a fresh listener lazily — all nodes start dirty for it, so the
-  // first incremental iteration re-observes the entire fleet.
-  if (tracker_listener_ >= 0) {
-    infra_.change_tracker().RemoveListener(tracker_listener_);
-    tracker_listener_ = -1;
-  }
-  observed_up_.clear();
-  observed_up_count_ = 0;
-  down_nodes_.clear();
-  healing_nodes_.clear();
-  plan_crossings_ = {};
-  plan_queued_cross_ns_.clear();
-  iter_dirty_.clear();
-}
-
-void MirtoAgent::EnsureTrackerListener() {
-  if (tracker_listener_ >= 0) return;
-  tracker_listener_ = infra_.change_tracker().AddListener(infra_.nodes);
 }
 
 void MirtoAgent::Start() {
@@ -366,27 +342,6 @@ void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
 void MirtoAgent::Monitor() {
   telemetry::ScopedSpan span("mape.monitor", "mirto");
   const std::int64_t now_ns = network_.engine().Now().ns;
-  if (monitor_path_ == MonitorPath::kFull) {
-    MonitorFull(now_ns);
-  } else {
-    MonitorIncremental(now_ns);
-  }
-  FlushPodStartWaits(now_ns);
-}
-
-void MirtoAgent::MonitorFull(std::int64_t now_ns) {
-  if (observed_up_.size() < infra_.nodes.size()) {
-    observed_up_.resize(infra_.nodes.size(), 0);
-  }
-  for (std::size_t index = 0; index < infra_.nodes.size(); ++index) {
-    ObserveNode(index, now_ns);
-    slo_.RecordAvailability("fleet.availability", infra_.nodes[index]->up(),
-                            now_ns);
-  }
-}
-
-void MirtoAgent::MonitorIncremental(std::int64_t now_ns) {
-  EnsureTrackerListener();
   iter_dirty_.clear();
   infra_.change_tracker().Drain(infra_.nodes, tracker_listener_, iter_dirty_);
   const std::size_t fleet = infra_.nodes.size();
@@ -397,6 +352,7 @@ void MirtoAgent::MonitorIncremental(std::int64_t now_ns) {
   // observation is arithmetically identical to N per-node singles.
   slo_.RecordAvailabilityBulk("fleet.availability", observed_up_count_,
                               util::SubSat(fleet, observed_up_count_), now_ns);
+  FlushPodStartWaits(now_ns);
 }
 
 void MirtoAgent::FlushPodStartWaits(std::int64_t now_ns) {
@@ -408,18 +364,10 @@ void MirtoAgent::FlushPodStartWaits(std::int64_t now_ns) {
     slo_.RecordLatencyMs("pod.start_wait", wait_ms, now_ns);
   }
   bound_waits_.clear();
-  if (monitor_path_ == MonitorPath::kFull) {
-    for (const auto& [pod_name, track] : pending_pods_) {
-      const double age_ms =
-          static_cast<double>(now_ns - track.created_ns) / 1e6;
-      slo_.RecordLatencyMs("pod.start_wait", age_ms, now_ns);
-    }
-    return;
-  }
-  // Incremental: pending pods only matter as good/bad counts against the
-  // latency threshold, and a pod crosses it exactly once — advance the
-  // creation-ordered queue past the integer-ns boundary (equivalent to the
-  // full path's `age_ms <= threshold_ms` double compare: both sides of the
+  // Pending pods only matter as good/bad counts against the latency
+  // threshold, and a pod crosses it exactly once — advance the
+  // creation-ordered queue past the integer-ns boundary (equivalent to a
+  // per-pod `age_ms <= threshold_ms` double compare: both sides of the
   // boundary round to the same classification) and record one bulk
   // observation.
   if (pending_threshold_ns_ >= 0) {
@@ -445,31 +393,11 @@ void MirtoAgent::Analyze() {
   telemetry::ScopedSpan span("mape.analyze", "mirto");
   reallocation_needed_ = failure_signal_;
   failure_signal_ = false;
-  if (monitor_path_ == MonitorPath::kFull) {
-    AnalyzeFullTrust();
-  } else {
-    AnalyzeIncrementalTrust();
-  }
-  if (cluster_.PendingPods() > 0) reallocation_needed_ = true;
-  EvaluateAndPublishSlos(span, network_.engine().Now().ns);
-}
-
-void MirtoAgent::AnalyzeFullTrust() {
-  for (const auto& node : infra_.nodes) {
-    const bool healthy = node->up();
-    psm_.RecordOutcome(node->id(), healthy);
-    if (!healthy && !cluster_.PodsOnNode(node->id()).empty()) {
-      reallocation_needed_ = true;
-    }
-  }
-}
-
-void MirtoAgent::AnalyzeIncrementalTrust() {
   // Only two kinds of node can have their trust move this iteration: nodes
   // observed down (failure outcome, trust decays) and up nodes still healing
   // back toward 1.0 (success outcome). A success on a node at exactly 1.0 is
   // a no-op (1.0 * 0.95 + 0.05 == 1.0 in double), so skipping the rest of
-  // the fleet leaves every TrustOf() value identical to the full walk.
+  // the fleet leaves every TrustOf() value identical to a full walk.
   for (const std::size_t index : down_nodes_) {
     const continuum::ComputeNode& node = *infra_.nodes[index];
     psm_.RecordOutcome(node.id(), false);
@@ -486,6 +414,8 @@ void MirtoAgent::AnalyzeIncrementalTrust() {
       ++it;
     }
   }
+  if (cluster_.PendingPods() > 0) reallocation_needed_ = true;
+  EvaluateAndPublishSlos(span, network_.engine().Now().ns);
 }
 
 void MirtoAgent::EvaluateAndPublishSlos(telemetry::ScopedSpan& span,
@@ -507,7 +437,6 @@ void MirtoAgent::EvaluateAndPublishSlos(telemetry::ScopedSpan& span,
   // Verdicts are re-published only on a state/breach-count transition or
   // when a burn rate crosses a quantum bucket — steady state costs zero KB
   // writes instead of one serialized record per objective per iteration.
-  const double quantum = config_.slo_publish_quantum;
   for (const telemetry::SloObjective& objective : config_.slo_objectives) {
     const telemetry::SloStatus* s = slo_.Find(objective.name);
     if (s == nullptr) continue;
@@ -516,14 +445,11 @@ void MirtoAgent::EvaluateAndPublishSlos(telemetry::ScopedSpan& span,
     next.valid = true;
     next.state = s->state;
     next.breaches = s->breaches;
-    if (quantum > 0.0) {
-      next.fast_bucket =
-          static_cast<std::int64_t>(std::floor(s->fast_burn_rate / quantum));
-      next.slow_bucket =
-          static_cast<std::int64_t>(std::floor(s->slow_burn_rate / quantum));
-    }
-    const bool unchanged = last.valid && quantum > 0.0 &&
-                           last.state == next.state &&
+    next.fast_bucket = static_cast<std::int64_t>(
+        std::floor(s->fast_burn_rate / kSloPublishQuantum));
+    next.slow_bucket = static_cast<std::int64_t>(
+        std::floor(s->slow_burn_rate / kSloPublishQuantum));
+    const bool unchanged = last.valid && last.state == next.state &&
                            last.breaches == next.breaches &&
                            last.fast_bucket == next.fast_bucket &&
                            last.slow_bucket == next.slow_bucket;
@@ -544,30 +470,14 @@ void MirtoAgent::EvaluateAndPublishSlos(telemetry::ScopedSpan& span,
 void MirtoAgent::Plan() {
   telemetry::ScopedSpan span("mape.plan", "mirto");
   planned_points_.clear();
-  if (monitor_path_ == MonitorPath::kFull) {
-    PlanFull();
-  } else {
-    PlanIncremental(network_.engine().Now().ns);
-  }
-}
-
-void MirtoAgent::PlanFull() {
-  for (const auto& node : infra_.nodes) {
-    if (!node->up()) continue;
-    for (const NodeManager::Decision& d : node_.PlanNode(*node)) {
-      if (d.changed) planned_points_.push_back(d);
-    }
-  }
-}
-
-void MirtoAgent::PlanIncremental(std::int64_t now_ns) {
+  const std::int64_t now_ns = network_.engine().Now().ns;
   // A decision can only change for (a) nodes that mutated since the last
   // iteration (drained in Monitor) or (b) quiet nodes whose utilization —
   // strictly decaying while no work arrives — crosses below the eco
   // threshold; upward crossings require new work, which marks the node
   // dirty. (b) is predicted with a min-heap of crossing times, one queued
   // entry per node. Visiting a node early is harmless: PlanNode returns
-  // changed=false, exactly like the full walk.
+  // changed=false, exactly like a full walk.
   plan_visit_.assign(iter_dirty_.begin(), iter_dirty_.end());
   if (plan_queued_cross_ns_.size() < infra_.nodes.size()) {
     plan_queued_cross_ns_.resize(infra_.nodes.size(), 0);

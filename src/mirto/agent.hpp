@@ -5,14 +5,13 @@
 // proxies toward the Knowledge Base and the deployment mechanism. The agent
 // runs the MAPE-K loop of §IV: sense → evaluate → decide → reconfigure.
 //
-// The loop is event-driven by default (MonitorPath::kIncremental): Monitor
-// drains the infrastructure ChangeTracker and visits only nodes that mutated
-// since the previous iteration, Analyze touches only down/healing nodes, and
-// Plan only dirty nodes plus those whose decaying utilization is predicted to
-// cross the eco-point threshold. The historical full-walk path is kept behind
-// set_monitor_path(MonitorPath::kFull) and is differentially tested to
-// produce byte-identical registry records, SLO states, trust scores, and
-// planned decisions.
+// The loop is event-driven: Monitor drains the infrastructure ChangeTracker
+// and visits only nodes that mutated since the previous iteration, Analyze
+// touches only down/healing nodes, and Plan only dirty nodes plus those whose
+// decaying utilization is predicted to cross the eco-point threshold. Its
+// outcomes (registry records, SLO states and verdicts, trust scores, planned
+// decisions) are held equal to a full-walk reference that recomputes them
+// from public state; that reference is test code (tests/oracle/).
 #pragma once
 
 #include <cstdint>
@@ -58,9 +57,9 @@ class AuthModule {
 /// request to binding). Both use the sim-scale burn-rate windows.
 std::vector<telemetry::SloObjective> DefaultAgentSlos();
 
-/// How Monitor/Analyze/Plan observe the fleet: the historical O(all nodes,
-/// all pending pods) walk, or the change-epoch/watch-event incremental path.
-enum class MonitorPath : std::uint8_t { kFull, kIncremental };
+/// SLO verdicts are re-published to the KB only when the state or breach
+/// count changes or a burn rate moves across a bucket of this width.
+inline constexpr double kSloPublishQuantum = 0.25;
 
 struct AgentConfig {
   std::string host;                 // network address of this agent
@@ -68,10 +67,6 @@ struct AgentConfig {
   PlacementStrategy strategy = PlacementStrategy::kGreedy;
   std::string gateway_anchor;       // host used for latency costs
   std::uint64_t seed = 1;
-  MonitorPath monitor_path = MonitorPath::kIncremental;
-  /// SLO verdicts are re-published to the KB only when the state changes or
-  /// a burn rate moves across a bucket of this width (0 = publish always).
-  double slo_publish_quantum = 0.25;
   /// Self-monitoring objectives evaluated each Analyze pass. A breach marks
   /// the fleet dirty (reallocation) and is written back to the KB under
   /// /slo/<host>/<objective> — the loop observing itself.
@@ -118,12 +113,6 @@ class MirtoAgent {
   /// One MAPE-K iteration (also invoked by the periodic loop).
   void RunMapeIteration();
 
-  /// Switches between the full-walk and incremental observation paths. Safe
-  /// mid-run: the incremental caches are rebuilt (all nodes re-observed) on
-  /// the first iteration after switching to kIncremental.
-  void set_monitor_path(MonitorPath path);
-  [[nodiscard]] MonitorPath monitor_path() const { return monitor_path_; }
-
   [[nodiscard]] const AgentStats& stats() const { return stats_; }
   [[nodiscard]] WlManager& wl_manager() { return wl_; }
   [[nodiscard]] NodeManager& node_manager() { return node_; }
@@ -133,7 +122,7 @@ class MirtoAgent {
   [[nodiscard]] const std::string& host() const { return config_.host; }
   [[nodiscard]] telemetry::SloEngine& slo_engine() { return slo_; }
   /// Operating-point changes planned by the most recent Plan pass (only
-  /// changed decisions) — the differential tests compare these across paths.
+  /// changed decisions) — the MAPE oracle tests compare these.
   [[nodiscard]] const std::vector<NodeManager::Decision>& planned_decisions()
       const {
     return planned_points_;
@@ -145,29 +134,21 @@ class MirtoAgent {
   void Plan();      // consult managers
   void Execute();   // apply decisions
 
-  void MonitorFull(std::int64_t now_ns);
-  void MonitorIncremental(std::int64_t now_ns);
   /// Writes one node's registry record + telemetry and refreshes the cached
   /// up/down, healing, and availability bookkeeping for it.
   void ObserveNode(std::size_t index, std::int64_t now_ns);
-  void AnalyzeFullTrust();
-  void AnalyzeIncrementalTrust();
   void EvaluateAndPublishSlos(telemetry::ScopedSpan& span,
                               std::int64_t now_ns);
-  void PlanFull();
-  void PlanIncremental(std::int64_t now_ns);
   /// Predicts when a device's (strictly decaying, absent new work)
   /// utilization will cross below the eco threshold and queues the node for
   /// a Plan visit at that time.
   void QueuePlanCrossing(std::size_t index, std::int64_t now_ns);
 
-  /// Lazily registers the ChangeTracker listener (incremental path only).
-  void EnsureTrackerListener();
   /// Begins tracking a just-deployed pod's start wait. Pods the workload
   /// manager bound synchronously during Deploy are credited immediately.
   void TrackPodCreated(const std::string& pod_name, std::int64_t created_ns);
   void UntrackPod(const std::string& pod_name);
-  /// Records bound waits and pending ages into pod.start_wait; both paths.
+  /// Records bound waits and pending good/bad counts into pod.start_wait.
   void FlushPodStartWaits(std::int64_t now_ns);
 
   net::Network& network_;
@@ -195,8 +176,7 @@ class MirtoAgent {
   telemetry::SloEngine slo_;
 
   /// --- Incremental observation state -------------------------------------
-  MonitorPath monitor_path_;
-  int tracker_listener_ = -1;
+  int tracker_listener_;  // ChangeTracker listener, registered at construction
   // True while the agent itself writes /registry/nodes/ records, so the KB
   // watch does not mirror its own writes back into the dirty set.
   bool self_registry_write_ = false;
@@ -224,9 +204,8 @@ class MirtoAgent {
     std::int64_t created_ns = 0;
     bool old = false;  // already aged past the latency threshold
   };
-  // Pods awaiting their first binding. Maintained by the Cluster pod-event
-  // hooks in both paths; the full path sweeps it per iteration (historical
-  // behaviour), the incremental path records one bulk good/bad observation.
+  // Pods awaiting their first binding, maintained by the Cluster pod-event
+  // hooks; Monitor records one bulk good/bad observation over them.
   std::map<std::string, PendingTrack> pending_pods_;
   // Pending pods in creation order, advanced past the age threshold lazily.
   std::deque<std::pair<std::int64_t, std::string>> pending_young_;

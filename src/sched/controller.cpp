@@ -155,9 +155,7 @@ util::StatusOr<std::string> Cluster::TryBind(PodId id) {
   const PodView pod = pods_.View(id);
   telemetry::ScopedSpan span("sched.bind", "sched");
   span.SetAttribute("pod", pod.name());
-  auto result = schedule_path_ == SchedulePath::kScan
-                    ? scheduler_.Schedule(pod.spec(), NodeStates())
-                    : scheduler_.Schedule(pod.spec(), index_);
+  auto result = scheduler_.Schedule(pod.spec(), index_);
   if (!result.ok()) return result.status();
   NodeState* target = index_.Find(result->node_id);
   if (target == nullptr) {

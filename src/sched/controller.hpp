@@ -42,10 +42,6 @@ struct Deployment {
 
 class Cluster {
  public:
-  /// Which scheduler execution path binds use. Both produce identical
-  /// verdicts (differential-tested); kScan exists for ablation and tests.
-  enum class SchedulePath : std::uint8_t { kIndexed, kScan };
-
   Cluster(sim::Engine& engine, Scheduler scheduler);
 
   /// Registers a node with optional labels. The node must outlive the
@@ -126,8 +122,6 @@ class Cluster {
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   [[nodiscard]] std::uint64_t reschedules() const { return reschedules_; }
   [[nodiscard]] const NodeIndex& index() const { return index_; }
-  void set_schedule_path(SchedulePath path) { schedule_path_ = path; }
-  [[nodiscard]] SchedulePath schedule_path() const { return schedule_path_; }
 
  private:
   util::StatusOr<std::string> TryBind(PodId id);
@@ -149,7 +143,6 @@ class Cluster {
   sim::Engine& engine_;
   Scheduler scheduler_;
   NodeIndex index_;
-  SchedulePath schedule_path_ = SchedulePath::kIndexed;
   PodLedger pods_;
   std::map<std::string, Deployment> deployments_;
   std::map<std::string, std::vector<PodId>> deployment_pods_;

@@ -37,6 +37,15 @@ util::Status WriteFile(const std::string& path, const std::string& body) {
   return util::Status::Ok();
 }
 
+// Appends " <value>\n" to a sample line. Built by append:
+// GCC 12 at -O3 flags `" " + FormatSample(v)` with a false-positive
+// -Wrestrict.
+void AppendSample(std::string& out, double value) {
+  out += ' ';
+  out += FormatSample(value);
+  out += '\n';
+}
+
 }  // namespace
 
 std::string ChromeTraceJson(const Tracer& tracer) {
@@ -82,7 +91,7 @@ std::string PrometheusText(const MetricsRegistry& registry) {
       if (family.kind != MetricKind::kHistogram) {
         out += name;
         if (!encoded.empty()) out += "{" + encoded + "}";
-        out += " " + FormatSample(series.value) + "\n";
+        AppendSample(out, series.value);
         continue;
       }
       if (series.histogram == nullptr) continue;
@@ -100,10 +109,10 @@ std::string PrometheusText(const MetricsRegistry& registry) {
              FormatSample(static_cast<double>(cumulative)) + "\n";
       out += name + "_sum";
       if (!encoded.empty()) out += "{" + encoded + "}";
-      out += " " + FormatSample(h.sum()) + "\n";
+      AppendSample(out, h.sum());
       out += name + "_count";
       if (!encoded.empty()) out += "{" + encoded + "}";
-      out += " " + FormatSample(static_cast<double>(h.count())) + "\n";
+      AppendSample(out, static_cast<double>(h.count()));
     }
   }
   return out;

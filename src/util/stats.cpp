@@ -82,8 +82,13 @@ std::string Log2Histogram::ToString() const {
   std::uint64_t hi = 1;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     if (buckets_[i] != 0) {
-      out += "[" + std::to_string(lo) + ", " + std::to_string(hi) +
-             "): " + std::to_string(buckets_[i]) + "\n";
+      out += '[';
+      out += std::to_string(lo);
+      out += ", ";
+      out += std::to_string(hi);
+      out += "): ";
+      out += std::to_string(buckets_[i]);
+      out += '\n';
     }
     lo = hi;
     hi <<= 1;

@@ -2,10 +2,13 @@
 // peering, and multi-agent contract-net negotiation.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "dpe/pipeline.hpp"
 #include "mirto/agent.hpp"
 #include "mirto/engine.hpp"
 #include "mirto/peering.hpp"
+#include "oracle/mape_oracle.hpp"
 
 namespace myrtus::mirto {
 namespace {
@@ -390,21 +393,21 @@ TEST(MirtoAgent, UndeployRemovesTrackedPods) {
   EXPECT_FALSE(f.agent->Undeploy("telerehab").ok());
 }
 
-/// --- Full-walk vs. incremental MAPE differential ---------------------------
-/// Two identical worlds run the same seeded 300-op churn schedule; one agent
-/// observes with MonitorPath::kFull, the other with kIncremental. After every
-/// MAPE iteration the observable outcomes — registry NodeRecords, SLO
-/// statuses and published /slo verdicts, trust scores, planned operating
-/// point decisions — must be byte-identical.
-struct DifferentialWorld {
+/// --- Event-driven MAPE vs. the full-walk oracle ----------------------------
+/// One world runs a seeded 300-op churn schedule. Before every MAPE iteration
+/// the oracle recomputes the full-walk outcome from public state; after it,
+/// the agent's registry NodeRecords, SLO statuses and published /slo
+/// verdicts, trust scores, and planned operating-point decisions must match.
+struct OracleWorld {
   sim::Engine engine;
   Infrastructure infra;
   std::unique_ptr<net::Network> net;
   sched::Cluster cluster;
   kb::Store store;
   std::unique_ptr<MirtoAgent> agent;
+  std::unique_ptr<oracle::MapeOracle> reference;
 
-  explicit DifferentialWorld(MonitorPath path)
+  OracleWorld()
       : infra(BuildInfrastructure(engine, {})),
         cluster(engine, sched::Scheduler::Default()) {
     net::Topology topo = infra.topology;
@@ -414,164 +417,113 @@ struct DifferentialWorld {
     AgentConfig config;
     config.host = "mirto-agent";
     config.strategy = PlacementStrategy::kGreedy;
-    config.monitor_path = path;
     agent = std::make_unique<MirtoAgent>(*net, cluster, infra, store,
                                          AuthModule(util::BytesOf("s3cret")),
                                          config);
-    // No Start(): iterations are driven manually so both paths step in
-    // lockstep on identical sim clocks.
+    reference = std::make_unique<oracle::MapeOracle>(*agent, cluster, infra,
+                                                     store, engine);
+    // No Start(): iterations are driven manually so the oracle can compute
+    // its expectation right before each one.
+  }
+
+  /// One checked iteration: the oracle's divergences (empty when equal).
+  std::vector<oracle::Divergence> CheckedIteration() {
+    reference->Expect();
+    agent->RunMapeIteration();
+    return reference->Compare();
   }
 };
 
-std::string WorldSnapshot(DifferentialWorld& w) {
-  std::string out;
-  for (const kb::NodeRecord& record : w.agent->registry().ListNodes()) {
-    out += record.ToJson().Dump();
-    out += "\n";
-  }
-  for (const char* objective : {"fleet.availability", "pod.start_wait"}) {
-    if (const telemetry::SloStatus* s = w.agent->slo_engine().Find(objective)) {
-      out += util::Json::MakeObject()
-                 .Set("objective", std::string(objective))
-                 .Set("state", std::string(telemetry::SloStateName(s->state)))
-                 .Set("fast", s->fast_burn_rate)
-                 .Set("slow", s->slow_burn_rate)
-                 .Set("observations", s->observations)
-                 .Set("bad", s->bad)
-                 .Set("breaches", s->breaches)
-                 .Dump();
-      out += "\n";
-    }
-    if (auto verdict = w.agent->registry().GetSloState("mirto-agent", objective);
-        verdict.ok()) {
-      out += verdict->Dump();
-      out += "\n";
-    }
-  }
-  for (const auto& node : w.infra.nodes) {
-    out += util::Json::MakeObject()
-               .Set("node", node->id())
-               .Set("trust", w.agent->security_manager().TrustOf(node->id()))
-               .Dump();
-    out += "\n";
-  }
-  for (const NodeManager::Decision& d : w.agent->planned_decisions()) {
-    out += d.node_id + "/" + std::to_string(d.device_index) + "->" +
-           std::to_string(d.operating_point) + "\n";
-  }
-  out += "pending=" + std::to_string(w.cluster.PendingPods()) +
-         " running=" + std::to_string(w.cluster.RunningPods()) + "\n";
-  return out;
-}
-
 class MapeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MapeDifferential, FullAndIncrementalPathsAgreeUnderChurn) {
-  DifferentialWorld full(MonitorPath::kFull);
-  DifferentialWorld inc(MonitorPath::kIncremental);
-  ASSERT_EQ(full.agent->monitor_path(), MonitorPath::kFull);
-  ASSERT_EQ(inc.agent->monitor_path(), MonitorPath::kIncremental);
-
+TEST_P(MapeDifferential, AgentMatchesFullWalkOracleUnderChurn) {
+  OracleWorld w;
   util::Rng rng(GetParam(), "mape-churn-differential");
   std::vector<std::string> churn_pods;
   int created = 0;
   bool deployed = false;
-  const std::size_t fleet = full.infra.nodes.size();
+  const std::size_t fleet = w.infra.nodes.size();
 
   for (int op = 0; op < 300; ++op) {
-    // Draw each decision once and apply it to both worlds, so the schedules
-    // cannot diverge even if a bug desynchronizes the states.
     const double roll = rng.NextDouble();
     const std::size_t pick = static_cast<std::size_t>(rng.NextBounded(fleet));
-    continuum::ComputeNode& node_full = *full.infra.nodes[pick];
-    continuum::ComputeNode& node_inc = *inc.infra.nodes[pick];
-    ASSERT_EQ(node_full.up(), node_inc.up()) << "worlds diverged at op " << op;
+    continuum::ComputeNode& node = *w.infra.nodes[pick];
     if (roll < 0.25) {
-      node_full.SetUp(!node_full.up());
-      node_inc.SetUp(!node_inc.up());
+      node.SetUp(!node.up());
     } else if (roll < 0.45) {
-      if (node_full.up()) {
+      if (node.up()) {
         continuum::TaskDemand demand;
         demand.cycles = 1'000'000 + rng.NextBounded(50'000'000);
-        node_full.Submit(demand, nullptr);
-        node_inc.Submit(demand, nullptr);
+        node.Submit(demand, nullptr);
       }
     } else if (roll < 0.55) {
       // Allocation wiggle: net no-op, but an observable mutation.
-      if (node_full.ReserveMemory(16).ok()) node_full.ReleaseMemory(16);
-      if (node_inc.ReserveMemory(16).ok()) node_inc.ReleaseMemory(16);
+      if (node.ReserveMemory(16).ok()) node.ReleaseMemory(16);
     } else if (roll < 0.70) {
       sched::PodSpec pod;
       pod.name = "churn-" + std::to_string(created++);
       pod.cpu_request = 0.25;
       pod.mem_request_mb = 16;
       if (rng.NextBool(0.2)) pod.cpu_request = 1e6;  // stays pending
-      // LINT: discard(differential churn: failure parity is what's asserted)
-      (void)full.cluster.BindPod(pod);
-      (void)inc.cluster.BindPod(pod);
+      // LINT: discard(churn input: an unplaceable pod stays pending)
+      (void)w.cluster.BindPod(pod);
       churn_pods.push_back(pod.name);
     } else if (roll < 0.80) {
       if (!churn_pods.empty()) {
         const std::size_t victim = static_cast<std::size_t>(
             rng.NextBounded(churn_pods.size()));
-        const util::Status a = full.cluster.DeletePod(churn_pods[victim]);
-        const util::Status b = inc.cluster.DeletePod(churn_pods[victim]);
-        ASSERT_EQ(a.code(), b.code());
+        ASSERT_TRUE(w.cluster.DeletePod(churn_pods[victim]).ok());
         churn_pods.erase(churn_pods.begin() +
                          static_cast<std::ptrdiff_t>(victim));
       }
     } else if (roll < 0.90) {
-      const util::Status a = full.agent->Deploy(TelerehabPackage());
-      const util::Status b = inc.agent->Deploy(TelerehabPackage());
-      ASSERT_EQ(a.code(), b.code());
-      deployed = a.ok();
+      deployed = w.agent->Deploy(TelerehabPackage()).ok();
     } else if (deployed) {
-      ASSERT_TRUE(full.agent->Undeploy("telerehab").ok());
-      ASSERT_TRUE(inc.agent->Undeploy("telerehab").ok());
+      ASSERT_TRUE(w.agent->Undeploy("telerehab").ok());
       deployed = false;
     }
-    const SimTime advance = SimTime::Millis(1 + rng.NextBounded(20));
-    full.engine.RunUntil(full.engine.Now() + advance);
-    inc.engine.RunUntil(inc.engine.Now() + advance);
-    ASSERT_EQ(full.engine.Now().ns, inc.engine.Now().ns);
+    w.engine.RunUntil(w.engine.Now() +
+                      SimTime::Millis(1 + rng.NextBounded(20)));
 
     if (op % 10 == 9) {
-      full.agent->RunMapeIteration();
-      inc.agent->RunMapeIteration();
-      ASSERT_EQ(WorldSnapshot(full), WorldSnapshot(inc))
+      const std::vector<oracle::Divergence> divergences = w.CheckedIteration();
+      ASSERT_TRUE(divergences.empty())
           << "outcome divergence after op " << op << " (seed " << GetParam()
-          << ")";
+          << "):\n"
+          << oracle::FormatDivergences(divergences);
     }
   }
-  // The equivalence must not be vacuous: the incremental path has to have
-  // done strictly less observation work than the full walk.
-  EXPECT_GT(full.agent->stats().nodes_observed,
-            inc.agent->stats().nodes_observed);
-  EXPECT_GT(inc.agent->stats().mape_iterations, 0u);
+  // The equivalence must not be vacuous: the agent has to have done strictly
+  // less observation work than the oracle's full walks.
+  EXPECT_LT(w.agent->stats().nodes_observed, w.reference->nodes_walked());
+  EXPECT_EQ(w.agent->stats().mape_iterations, 30u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MapeDifferential,
                          ::testing::Values(1u, 7u, 42u, 1337u));
 
-TEST(MirtoAgent, SwitchingMonitorPathMidRunRebuildsCaches) {
-  AgentFixture f;
-  f.engine.RunUntil(SimTime::Millis(600));
-  const std::uint64_t observed_before = f.agent->stats().nodes_observed;
-  f.agent->set_monitor_path(MonitorPath::kFull);
-  f.agent->RunMapeIteration();
-  EXPECT_EQ(f.agent->stats().nodes_observed,
-            observed_before + f.infra.nodes.size());
-  f.agent->set_monitor_path(MonitorPath::kIncremental);
-  // A fresh listener starts all-dirty: the first incremental iteration
-  // re-observes the whole fleet, after which a quiet fleet costs zero visits.
-  const std::uint64_t at_switch = f.agent->stats().nodes_observed;
-  f.agent->RunMapeIteration();
-  EXPECT_EQ(f.agent->stats().nodes_observed,
-            at_switch + f.infra.nodes.size());
-  const std::uint64_t after_rebuild = f.agent->stats().nodes_observed;
-  f.agent->RunMapeIteration();
-  EXPECT_EQ(f.agent->stats().nodes_observed, after_rebuild)
-      << "quiet fleet, no dirty nodes";
+TEST(MapeOracle, ReportsANodeThatChangedBehindItsBack) {
+  OracleWorld w;
+  for (int i = 0; i < 3; ++i) {
+    w.engine.RunUntil(w.engine.Now() + SimTime::Millis(250));
+    ASSERT_TRUE(w.CheckedIteration().empty());
+  }
+  // The node flips after the expectation was taken: the agent observes the
+  // new state, the oracle expected the old one, and it must say which node.
+  continuum::ComputeNode& flipped = *w.infra.nodes[1];
+  w.engine.RunUntil(w.engine.Now() + SimTime::Millis(250));
+  w.reference->Expect();
+  flipped.SetUp(!flipped.up());
+  w.agent->RunMapeIteration();
+  const std::vector<oracle::Divergence> divergences = w.reference->Compare();
+  ASSERT_FALSE(divergences.empty());
+  std::set<std::string> nodes;
+  for (const oracle::Divergence& d : divergences) {
+    if (!d.node_id.empty()) nodes.insert(d.node_id);
+  }
+  EXPECT_EQ(nodes, std::set<std::string>{flipped.id()})
+      << oracle::FormatDivergences(divergences);
+  EXPECT_NE(w.reference->ExpectedSnapshot(), w.reference->AgentSnapshot());
 }
 
 TEST(MirtoAgent, SteadyStateSkipsSloRepublish) {

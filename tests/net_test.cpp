@@ -140,11 +140,11 @@ TEST(Network, LossyLinkDropsApproximatelyAtRate) {
   int delivered = 0;
   net.Attach("b", [&](const Message&) { ++delivered; });
   for (int i = 0; i < 2000; ++i) {
-    Message m;
-    m.from = "a";
-    m.to = "b";
-    m.kind = "probe";
-    m.body_bytes = 10;
+    Message m{.from = "a",
+              .to = "b",
+              .kind = "probe",
+              .payload = {},
+              .body_bytes = 10};
     ASSERT_TRUE(net.Send(std::move(m)).ok());
   }
   engine.Run();

@@ -191,7 +191,8 @@ TEST(SchedulerProperty, NeverOvercommitsUnderRandomChurn) {
   for (int op = 0; op < 800; ++op) {
     if (live.empty() || rng.NextBool(0.6)) {
       sched::PodSpec pod;
-      pod.name = "p" + std::to_string(op);
+      pod.name = "p";
+      pod.name += std::to_string(op);
       pod.cpu_request = rng.Uniform(0.1, 3.0);
       pod.mem_request_mb = 16 + rng.NextBounded(512);
       pod.priority = static_cast<int>(rng.NextBounded(5));

@@ -395,8 +395,9 @@ TEST(SchedDifferential, OpaqueFiltersRunOnBothPaths) {
 }
 
 TEST(SchedDifferential, ClusterPathsProduceIdenticalPlacements) {
-  // Two identical worlds, one bound through each schedule path: every pod
-  // must land on the same node in both.
+  // Two identical worlds: one binds through the indexed BindPod, the other
+  // through the scan reference (Schedule over NodeStates, then
+  // BindPodToNode on its winner). Every pod must land on the same node.
   sim::Engine engine_a;
   sim::Engine engine_b;
   continuum::Infrastructure infra_a =
@@ -407,12 +408,13 @@ TEST(SchedDifferential, ClusterPathsProduceIdenticalPlacements) {
   Cluster scan(engine_b, Scheduler::Default());
   for (auto& n : infra_a.nodes) indexed.AddNode(n.get());
   for (auto& n : infra_b.nodes) scan.AddNode(n.get());
-  scan.set_schedule_path(Cluster::SchedulePath::kScan);
+  const Scheduler scan_sched = Scheduler::Default();
 
   util::Rng rng(11, "sched-diff-paths");
   for (int i = 0; i < 60; ++i) {
     PodSpec pod;
-    pod.name = "p" + std::to_string(i);
+    pod.name = "p";
+    pod.name += std::to_string(i);
     pod.cpu_request = rng.Uniform(0.1, 2.5);
     pod.mem_request_mb = 16 + rng.NextBounded(512);
     if (rng.NextBool(0.2)) pod.needs_accelerator = true;
@@ -421,10 +423,12 @@ TEST(SchedDifferential, ClusterPathsProduceIdenticalPlacements) {
           static_cast<security::SecurityLevel>(rng.NextBounded(3));
     }
     auto a = indexed.BindPod(pod);
-    auto b = scan.BindPod(pod);
+    auto b = scan_sched.Schedule(pod, scan.NodeStates());
     ASSERT_EQ(a.ok(), b.ok()) << pod.name;
     if (a.ok()) {
-      EXPECT_EQ(*a, *b) << pod.name;
+      EXPECT_EQ(*a, b->node_id) << pod.name;
+      auto placed = scan.BindPodToNode(pod, b->node_id);
+      ASSERT_TRUE(placed.ok()) << placed.status();
     } else {
       EXPECT_EQ(a.status().message(), b.status().message()) << pod.name;
     }

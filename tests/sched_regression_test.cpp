@@ -53,18 +53,19 @@ TEST(Regression, OverallocatedNodeReportsZeroFreeMemoryAndRejectsPods) {
   pod.mem_request_mb = 1;
   pod.node_selector["pin"] = "1";
 
-  for (Cluster::SchedulePath path :
-       {Cluster::SchedulePath::kIndexed, Cluster::SchedulePath::kScan}) {
-    f.cluster.set_schedule_path(path);
-    auto bound = f.cluster.BindPod(pod);
-    ASSERT_FALSE(bound.ok());
-    EXPECT_EQ(bound.status().code(), util::StatusCode::kResourceExhausted);
-    EXPECT_NE(bound.status().message().find("insufficient memory"),
-              std::string::npos)
-        << bound.status();
-    // LINT: discard(cleanup of the pod left pending by the failed bind)
-    (void)f.cluster.DeletePod(pod.name);
+  // The indexed bind and the scan reference must refuse with the same status.
+  auto scanned = Scheduler::Default().Schedule(pod, f.cluster.NodeStates());
+  ASSERT_FALSE(scanned.ok());
+  auto bound = f.cluster.BindPod(pod);
+  ASSERT_FALSE(bound.ok());
+  for (const util::Status& status : {scanned.status(), bound.status()}) {
+    EXPECT_EQ(status.code(), util::StatusCode::kResourceExhausted);
+    EXPECT_NE(status.message().find("insufficient memory"), std::string::npos)
+        << status;
   }
+  EXPECT_EQ(bound.status().message(), scanned.status().message());
+  // LINT: discard(cleanup of the pod left pending by the failed bind)
+  (void)f.cluster.DeletePod(pod.name);
 
   auto directed = f.cluster.BindPodToNode(pod, "edge-0");
   ASSERT_FALSE(directed.ok());
