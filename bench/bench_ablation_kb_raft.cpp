@@ -10,6 +10,8 @@
 
 #include "bench/report.hpp"
 #include "kb/cluster.hpp"
+#include "kb/registry.hpp"
+#include "mirto/managers.hpp"
 #include "util/stats.hpp"
 
 using namespace myrtus;
@@ -137,6 +139,49 @@ void BM_RangeScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RangeScan);
+
+void BM_RegistryAppendTelemetry(benchmark::State& state) {
+  // One monitor sample appended to a series already at its 256-sample cap,
+  // so every append also trims the oldest sample.
+  kb::Store store;
+  kb::ResourceRegistry registry(store);
+  std::int64_t t = 0;
+  for (; t < 256; ++t) registry.AppendTelemetry("n0", "utilization", {t, 0.5});
+  for (auto _ : state) {
+    registry.AppendTelemetry("n0", "utilization", {t, 0.5});
+    ++t;
+  }
+  benchmark::DoNotOptimize(store.revision());
+}
+BENCHMARK(BM_RegistryAppendTelemetry);
+
+void BM_RegistryPublishTrust(benchmark::State& state) {
+  // One node's changed trust score published into a 1k-node registry that
+  // a MIRTO agent watches. Outcomes alternate per sweep so every publish
+  // carries a new value.
+  constexpr int kNodes = 1000;
+  kb::Store store;
+  kb::ResourceRegistry registry(store);
+  std::vector<std::string> ids;
+  for (int n = 0; n < kNodes; ++n) {
+    ids.push_back("node-" + std::to_string(n));
+    registry.PutNode({.node_id = ids.back(), .layer = "edge", .kind = "hmpsoc"});
+  }
+  std::uint64_t events = 0;
+  // LINT: deferred-capture-ok(default) -- the watcher only fires inside the
+  // publish loop below; the store and the counter die with this frame together
+  store.Watch("/registry/nodes/", [&](const kb::WatchEvent&) { ++events; });
+  mirto::PrivacySecurityManager psm;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    psm.RecordOutcome(ids[i % kNodes], (i / kNodes) % 2 == 1);
+    psm.PublishTrust(registry);
+    ++i;
+  }
+  benchmark::DoNotOptimize(events);
+  state.counters["events"] = static_cast<double>(events);
+}
+BENCHMARK(BM_RegistryPublishTrust);
 
 void PrintFailoverTable(bench::Report& report) {
   std::printf("=== A2b: leader failover downtime (5 replicas, 2ms links) ===\n");

@@ -1,10 +1,35 @@
 #include "kb/registry.hpp"
 
 namespace myrtus::kb {
+namespace {
+
+bool SameType(const util::Json& a, const util::Json& b) {
+  return a.is_bool() == b.is_bool() && a.is_int() == b.is_int() &&
+         a.is_double() == b.is_double() && a.is_string() == b.is_string();
+}
+
+// True when `j` has exactly the fields and value types NodeRecord::ToJson
+// writes, so a FromJson → ToJson round trip would reproduce it unchanged.
+bool IsCanonicalNodeRecord(const util::Json& j) {
+  static const util::Json kShape = NodeRecord{}.ToJson();
+  if (!j.is_object() || j.fields().size() != kShape.fields().size()) {
+    return false;
+  }
+  auto want = kShape.fields().begin();
+  for (const auto& [key, value] : j.fields()) {
+    if (key != want->first || !SameType(value, want->second)) return false;
+    ++want;
+  }
+  // FromJson narrows security_level to int.
+  const std::int64_t level = j.at("security_level").as_int();
+  return level == static_cast<int>(level);
+}
+
+}  // namespace
 
 util::Json NodeRecord::ToJson() const {
-  return util::Json::MakeObject()
-      .Set("node_id", node_id)
+  util::Json j = util::Json::MakeObject();
+  j.Set("node_id", node_id)
       .Set("layer", layer)
       .Set("kind", kind)
       .Set("ready", ready)
@@ -16,6 +41,7 @@ util::Json NodeRecord::ToJson() const {
       .Set("has_accelerator", has_accelerator)
       .Set("energy_mj", energy_mj)
       .Set("trust_score", trust_score);
+  return j;
 }
 
 util::StatusOr<NodeRecord> NodeRecord::FromJson(const util::Json& j) {
@@ -73,7 +99,28 @@ util::StatusOr<util::Json> ResourceRegistry::GetSloState(
 }
 
 void ResourceRegistry::PutNode(const NodeRecord& record) {
-  store_.Put(NodeKey(record.node_id), record.ToJson());
+  const std::string key = NodeKey(record.node_id);
+  const auto overwrite = [&record](util::Json& stored) {
+    stored = record.ToJson();
+    return true;
+  };
+  if (!store_.Update(key, overwrite)) store_.Put(key, record.ToJson());
+}
+
+bool ResourceRegistry::PutTrust(const std::string& node_id,
+                                double trust_score) {
+  return store_
+      .Update(NodeKey(node_id),
+              [trust_score](util::Json& stored) {
+                if (!IsCanonicalNodeRecord(stored)) {
+                  auto record = NodeRecord::FromJson(stored);
+                  if (!record.ok()) return false;
+                  stored = record->ToJson();
+                }
+                stored.mutable_fields().at("trust_score") = trust_score;
+                return true;
+              })
+      .has_value();
 }
 
 util::StatusOr<NodeRecord> ResourceRegistry::GetNode(
@@ -126,19 +173,22 @@ void ResourceRegistry::AppendTelemetry(const std::string& node_id,
                                        TelemetrySample sample,
                                        std::size_t max_samples) {
   const std::string key = TelemetryKey(node_id, metric);
-  util::Json series = util::Json::MakeArray();
-  if (auto existing = store_.Get(key); existing.ok()) {
-    series = existing->value;
+  util::Json point = util::Json::MakeObject();
+  point.Set("t", sample.at_ns).Set("v", sample.value);
+  const auto append = [&](util::Json& series) {
+    auto& items = series.mutable_items();
+    items.push_back(std::move(point));
+    if (items.size() > max_samples) {
+      items.erase(items.begin(),
+                  items.begin() + static_cast<long>(items.size() - max_samples));
+    }
+    return true;
+  };
+  if (!store_.Update(key, append)) {
+    util::Json series = util::Json::MakeArray();
+    append(series);
+    store_.Put(key, std::move(series));
   }
-  series.Append(util::Json::MakeObject()
-                    .Set("t", sample.at_ns)
-                    .Set("v", sample.value));
-  auto& items = series.mutable_items();
-  if (items.size() > max_samples) {
-    items.erase(items.begin(),
-                items.begin() + static_cast<long>(items.size() - max_samples));
-  }
-  store_.Put(key, std::move(series));
 }
 
 std::vector<TelemetrySample> ResourceRegistry::GetTelemetry(

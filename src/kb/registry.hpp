@@ -56,8 +56,14 @@ class ResourceRegistry {
                                   const std::string& metric);
   static std::string SloKey(const std::string& scope, const std::string& name);
 
-  /// Upserts a node record.
+  /// Upserts a node record. An existing key keeps its lease (etcd's
+  /// ignore_lease): a status write must not detach a heartbeat registration.
   void PutNode(const NodeRecord& record);
+  /// Sets one registered node's trust_score in place, keeping its lease. A
+  /// record not in NodeRecord::ToJson's shape is normalized first, so the
+  /// stored bytes equal a GetNode → PutNode round trip. False (nothing
+  /// written) when the node has no parseable record.
+  bool PutTrust(const std::string& node_id, double trust_score);
   [[nodiscard]] util::StatusOr<NodeRecord> GetNode(const std::string& node_id) const;
   /// All registered nodes (optionally restricted to one layer).
   [[nodiscard]] std::vector<NodeRecord> ListNodes(const std::string& layer = "") const;
@@ -68,7 +74,8 @@ class ResourceRegistry {
   [[nodiscard]] util::StatusOr<util::Json> GetWorkload(const std::string& workload_id) const;
   [[nodiscard]] std::vector<std::pair<std::string, util::Json>> ListWorkloads() const;
 
-  /// Appends a telemetry sample, keeping at most `max_samples` per series.
+  /// Appends a telemetry sample in place, keeping at most `max_samples` per
+  /// series.
   void AppendTelemetry(const std::string& node_id, const std::string& metric,
                        TelemetrySample sample, std::size_t max_samples = 256);
   [[nodiscard]] std::vector<TelemetrySample> GetTelemetry(

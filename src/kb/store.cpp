@@ -6,17 +6,19 @@ namespace myrtus::kb {
 
 std::int64_t Store::Put(const std::string& key, util::Json value,
                         std::int64_t lease_id) {
-  ++revision_;
   KeyValue& kv = data_[key];
-  if (kv.create_revision == 0) {
-    kv.key = key;
-    kv.create_revision = revision_;
-  }
+  if (kv.create_revision == 0) kv.key = key;
   kv.value = std::move(value);
+  kv.lease_id = lease_id;
+  return Commit(kv);
+}
+
+std::int64_t Store::Commit(KeyValue& kv) {
+  ++revision_;
+  if (kv.create_revision == 0) kv.create_revision = revision_;
   kv.mod_revision = revision_;
   kv.version += 1;
-  kv.lease_id = lease_id;
-  Notify(WatchEvent{WatchEvent::Type::kPut, kv});
+  Notify(WatchEvent::Type::kPut, kv);
   return revision_;
 }
 
@@ -24,10 +26,10 @@ std::optional<std::int64_t> Store::Delete(const std::string& key) {
   const auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;
   ++revision_;
-  KeyValue last = it->second;
-  last.mod_revision = revision_;
+  KeyValue last = std::move(it->second);
   data_.erase(it);
-  Notify(WatchEvent{WatchEvent::Type::kDelete, std::move(last)});
+  last.mod_revision = revision_;
+  Notify(WatchEvent::Type::kDelete, last);
   return revision_;
 }
 
@@ -49,22 +51,30 @@ std::vector<KeyValue> Store::Range(const std::string& prefix) const {
 
 std::int64_t Store::Watch(const std::string& prefix, WatchCallback cb) {
   const std::int64_t id = next_watch_id_++;
-  watchers_.push_back(Watcher{id, prefix, std::move(cb)});
+  watchers_.push_back(
+      std::make_shared<const Watcher>(Watcher{id, prefix, std::move(cb)}));
   return id;
 }
 
 void Store::CancelWatch(std::int64_t watch_id) {
-  std::erase_if(watchers_, [&](const Watcher& w) { return w.id == watch_id; });
+  std::erase_if(watchers_, [&](const std::shared_ptr<const Watcher>& w) {
+    return w->id == watch_id;
+  });
 }
 
-void Store::Notify(const WatchEvent& event) {
-  // Copy the watcher list: a callback may add/cancel watches re-entrantly.
-  const std::vector<Watcher> snapshot = watchers_;
-  for (const Watcher& w : snapshot) {
-    if (event.kv.key.compare(0, w.prefix.size(), w.prefix) == 0) {
-      w.cb(event);
+void Store::Notify(WatchEvent::Type type, const KeyValue& kv) {
+  // Snapshot the matching watchers: a callback may add or cancel watches
+  // re-entrantly. One cancelled by an earlier callback still receives this
+  // event; one added during it does not.
+  std::vector<std::shared_ptr<const Watcher>> matched;
+  for (const std::shared_ptr<const Watcher>& w : watchers_) {
+    if (kv.key.compare(0, w->prefix.size(), w->prefix) == 0) {
+      matched.push_back(w);
     }
   }
+  if (matched.empty()) return;
+  const WatchEvent event{type, kv};
+  for (const std::shared_ptr<const Watcher>& w : matched) w->cb(event);
 }
 
 std::int64_t Store::GrantLease(std::int64_t expiry_ns) {

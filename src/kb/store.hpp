@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,6 +40,18 @@ class Store {
   /// Puts a value; returns the new store revision.
   std::int64_t Put(const std::string& key, util::Json value,
                    std::int64_t lease_id = 0);
+  /// Edits a key's value in place: `fn(util::Json&)` returns false to
+  /// decline, and must leave the value untouched when it does. An accepted
+  /// edit has Put's MVCC effects (revision, mod_revision and version bump,
+  /// one kPut carrying the post-update value) but keeps the key's lease, like
+  /// etcd's ignore_lease. Returns the new store revision, or nullopt — no
+  /// revision bump, no event — when the key is absent or `fn` declines.
+  template <typename Fn>
+  std::optional<std::int64_t> Update(const std::string& key, Fn&& fn) {
+    const auto it = data_.find(key);
+    if (it == data_.end() || !fn(it->second.value)) return std::nullopt;
+    return Commit(it->second);
+  }
   /// Deletes a key; returns the new revision, or nullopt if absent.
   std::optional<std::int64_t> Delete(const std::string& key);
   /// Point read.
@@ -74,7 +87,11 @@ class Store {
   [[nodiscard]] std::size_t lease_count() const { return leases_.size(); }
 
  private:
-  void Notify(const WatchEvent& event);
+  /// Stamps a just-written `kv` with the next revision and fires its kPut.
+  std::int64_t Commit(KeyValue& kv);
+  /// Delivers an event to the watchers whose prefix matches `kv.key`. The
+  /// event is built only when one matches.
+  void Notify(WatchEvent::Type type, const KeyValue& kv);
 
   std::map<std::string, KeyValue> data_;
   std::int64_t revision_ = 0;
@@ -84,7 +101,9 @@ class Store {
     std::string prefix;
     WatchCallback cb;
   };
-  std::vector<Watcher> watchers_;
+  // Held by shared_ptr so Notify snapshots the matching watchers without
+  // copying their callbacks.
+  std::vector<std::shared_ptr<const Watcher>> watchers_;
   std::int64_t next_watch_id_ = 1;
 
   std::map<std::int64_t, std::int64_t> leases_;  // id -> expiry_ns

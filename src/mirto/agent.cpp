@@ -395,9 +395,10 @@ void MirtoAgent::Analyze() {
   failure_signal_ = false;
   // Only two kinds of node can have their trust move this iteration: nodes
   // observed down (failure outcome, trust decays) and up nodes still healing
-  // back toward 1.0 (success outcome). A success on a node at exactly 1.0 is
-  // a no-op (1.0 * 0.95 + 0.05 == 1.0 in double), so skipping the rest of
-  // the fleet leaves every TrustOf() value identical to a full walk.
+  // (success outcome). Healing ends at a fixed point of the success update
+  // (1.0, or the value just below it where the update stalls), so a node
+  // leaves the set on its first no-op success, and skipping the rest of the
+  // fleet leaves every TrustOf() value identical to a full walk.
   for (const std::size_t index : down_nodes_) {
     const continuum::ComputeNode& node = *infra_.nodes[index];
     psm_.RecordOutcome(node.id(), false);
@@ -407,11 +408,10 @@ void MirtoAgent::Analyze() {
   }
   for (auto it = healing_nodes_.begin(); it != healing_nodes_.end();) {
     const continuum::ComputeNode& node = *infra_.nodes[*it];
-    psm_.RecordOutcome(node.id(), true);
-    if (psm_.TrustOf(node.id()) >= 1.0) {
-      it = healing_nodes_.erase(it);
-    } else {
+    if (psm_.RecordOutcome(node.id(), true)) {
       ++it;
+    } else {
+      it = healing_nodes_.erase(it);
     }
   }
   if (cluster_.PendingPods() > 0) reallocation_needed_ = true;

@@ -121,6 +121,11 @@ class MirtoAgent {
   [[nodiscard]] kb::ResourceRegistry& registry() { return registry_; }
   [[nodiscard]] const std::string& host() const { return config_.host; }
   [[nodiscard]] telemetry::SloEngine& slo_engine() { return slo_; }
+  /// Up nodes whose trust is still recovering; Analyze records one success
+  /// outcome for each per iteration.
+  [[nodiscard]] std::size_t healing_node_count() const {
+    return healing_nodes_.size();
+  }
   /// Operating-point changes planned by the most recent Plan pass (only
   /// changed decisions) — the MAPE oracle tests compare these.
   [[nodiscard]] const std::vector<NodeManager::Decision>& planned_decisions()
@@ -184,10 +189,10 @@ class MirtoAgent {
   std::vector<std::uint8_t> observed_up_;  // last observed up/down per index
   std::size_t observed_up_count_ = 0;
   // Analyze attention sets: nodes currently observed down (record a failure
-  // outcome each iteration) and up nodes whose trust has not yet recovered
-  // to exactly 1.0 (record successes until it converges — the 0.95x + 0.05
-  // update reaches 1.0 in finitely many steps in double precision, after
-  // which further successes are no-ops the full walk also performs).
+  // outcome each iteration) and up nodes whose trust is still recovering
+  // (record successes until one is a no-op — the success update reaches a
+  // fixed point in finitely many steps, which in double may sit just below
+  // 1.0).
   std::set<std::size_t> down_nodes_;
   std::set<std::size_t> healing_nodes_;
   // Plan visit prediction: min-heap of (crossing sim-time ns, node index)

@@ -190,18 +190,20 @@ util::StatusOr<std::string> NetworkManager::NearestNode(
 PrivacySecurityManager::PrivacySecurityManager(double veto_threshold)
     : veto_threshold_(veto_threshold) {}
 
-void PrivacySecurityManager::RecordOutcome(const std::string& node_id,
+bool PrivacySecurityManager::RecordOutcome(const std::string& node_id,
                                            bool success) {
   double& trust = trust_.try_emplace(node_id, 1.0).first->second;
-  // Exponential update: failures bite harder than successes heal. Note that
-  // 1.0 * 0.95 + 0.05 == 1.0 exactly in double, so a fully trusted node is a
-  // fixed point under successes and recovery converges to exactly 1.0.
+  // Exponential update: failures bite harder than successes heal. Recovery
+  // need not reach 1.0: in double, min(1, 0.95t + 0.05) from 0.7^k stalls
+  // just below it (0.999999999999999) where 0.95t + 0.05 rounds back to t.
+  // Either way it ends at a fixed point, after which every success is a
+  // no-op and returns false.
   const double updated =
       success ? std::min(1.0, trust * 0.95 + 0.05) : trust * 0.7;
-  if (updated != trust) {
-    trust = updated;
-    pending_publish_.insert(node_id);
-  }
+  if (updated == trust) return false;
+  trust = updated;
+  pending_publish_.insert(node_id);
+  return true;
 }
 
 double PrivacySecurityManager::TrustOf(const std::string& node_id) const {
@@ -225,17 +227,13 @@ bool PrivacySecurityManager::Permits(const sched::PodSpec& pod,
 
 void PrivacySecurityManager::PublishTrust(kb::ResourceRegistry& registry) {
   for (auto it = pending_publish_.begin(); it != pending_publish_.end();) {
-    auto record = registry.GetNode(*it);
-    if (!record.ok()) {
+    if (registry.PutTrust(*it, trust_.at(*it))) {
+      it = pending_publish_.erase(it);
+    } else {
       // Not registered yet (e.g. trust recorded before the first Monitor
       // pass wrote the node record) — keep it queued for the next publish.
       ++it;
-      continue;
     }
-    kb::NodeRecord updated = *record;
-    updated.trust_score = trust_.at(*it);
-    registry.PutNode(updated);
-    it = pending_publish_.erase(it);
   }
 }
 

@@ -123,8 +123,9 @@ class PrivacySecurityManager {
  public:
   explicit PrivacySecurityManager(double veto_threshold = 0.4);
 
-  /// Records an outcome on a node; failures decay trust, successes recover it.
-  void RecordOutcome(const std::string& node_id, bool success);
+  /// Records an outcome on a node; failures decay trust, successes recover
+  /// it. Returns whether the node's trust changed.
+  bool RecordOutcome(const std::string& node_id, bool success);
   [[nodiscard]] double TrustOf(const std::string& node_id) const;
   /// Nodes currently below the veto threshold.
   [[nodiscard]] std::vector<std::string> VetoedNodes() const;

@@ -98,6 +98,24 @@ TEST(Heartbeat, ReRegistrationDoesNotLeakOldLease) {
   EXPECT_EQ(f.store.lease_count(), 1u);
 }
 
+// Regression: a registry write (the agent's ObserveNode and PublishTrust
+// both do one) replaced the record with lease_id 0, detaching it from its
+// heartbeat lease, so a crashed component's record never expired.
+TEST(Heartbeat, RegistryWritesKeepTheRecordLeased) {
+  Fixture f;
+  f.heartbeats.Register(Edge("edge-0"));
+  NodeRecord status = Edge("edge-0");
+  status.cpu_allocated = 1.5;
+  f.registry.PutNode(status);
+  ASSERT_TRUE(f.registry.PutTrust("edge-0", 0.7));
+  f.engine.RunUntil(SimTime::Seconds(2));
+  ASSERT_TRUE(f.registry.GetNode("edge-0").ok()) << "renewals still apply";
+  f.heartbeats.StopBeating("edge-0");
+  f.engine.RunUntil(f.engine.Now() + SimTime::Seconds(4));
+  EXPECT_FALSE(f.registry.GetNode("edge-0").ok());
+  EXPECT_EQ(f.heartbeats.expirations(), 1u);
+}
+
 TEST(Store, RevokeLeaseDetachesKeysWithoutDeleteEvents) {
   Fixture f;
   int deletes = 0;

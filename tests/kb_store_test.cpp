@@ -4,6 +4,7 @@
 
 #include "kb/registry.hpp"
 #include "kb/store.hpp"
+#include "mirto/managers.hpp"
 
 namespace myrtus::kb {
 namespace {
@@ -94,6 +95,117 @@ TEST(Store, CancelWatchStopsEvents) {
   s.CancelWatch(id);
   s.Put("/b", util::Json(2));
   EXPECT_EQ(events, 1);
+}
+
+TEST(Store, UpdateHasPutsMvccEffectsAndFiresOneEvent) {
+  Store s;
+  s.Put("/a", util::Json::MakeObject().Set("n", 1));
+  s.Put("/b", util::Json(0));
+  std::vector<WatchEvent> seen;
+  s.Watch("/a", [&](const WatchEvent& e) { seen.push_back(e); });
+  const auto rev = s.Update("/a", [](util::Json& v) {
+    v.Set("n", 2);
+    return true;
+  });
+  ASSERT_TRUE(rev.has_value());
+  EXPECT_EQ(*rev, 3);
+  EXPECT_EQ(s.revision(), 3);
+  auto kv = s.Get("/a");
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ(kv->value.at("n").as_int(), 2);
+  EXPECT_EQ(kv->create_revision, 1);
+  EXPECT_EQ(kv->mod_revision, 3);
+  EXPECT_EQ(kv->version, 2);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].type, WatchEvent::Type::kPut);
+  EXPECT_EQ(seen[0].kv.value.at("n").as_int(), 2);
+  EXPECT_EQ(seen[0].kv.mod_revision, 3);
+  EXPECT_EQ(seen[0].kv.version, 2);
+}
+
+TEST(Store, UpdateOfAbsentOrDeclinedKeyIsNotAMutation) {
+  Store s;
+  s.Put("/a", util::Json(1));
+  int events = 0;
+  s.Watch("/", [&](const WatchEvent&) { ++events; });
+  bool called = false;
+  EXPECT_FALSE(s.Update("/missing", [&](util::Json&) {
+    called = true;
+    return true;
+  }));
+  EXPECT_FALSE(called) << "fn runs only on a present key";
+  EXPECT_FALSE(s.Update("/a", [](util::Json&) { return false; }));
+  EXPECT_EQ(s.revision(), 1);
+  EXPECT_EQ(events, 0);
+  EXPECT_FALSE(s.Get("/missing").ok());
+  EXPECT_EQ(s.Get("/a")->version, 1);
+}
+
+TEST(Store, UpdateKeepsTheKeysLease) {
+  Store s;
+  const std::int64_t lease = s.GrantLease(1000);
+  s.Put("/k", util::Json(1), lease);
+  ASSERT_TRUE(s.Update("/k", [](util::Json& v) {
+    v = util::Json(2);
+    return true;
+  }));
+  EXPECT_EQ(s.Get("/k")->lease_id, lease);
+  EXPECT_EQ(s.ExpireLeases(1000), 1u);
+}
+
+TEST(Store, UnmatchedKeyInvokesNoWatcher) {
+  Store s;
+  int calls = 0;
+  s.Watch("/nodes/", [&](const WatchEvent&) { ++calls; });
+  s.Watch("/pods/", [&](const WatchEvent&) { ++calls; });
+  s.Put("/other/a", util::Json(1));
+  s.Update("/other/a", [](util::Json&) { return true; });
+  s.Delete("/other/a");
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(Store, WatcherCancelledMidEventStillReceivesIt) {
+  Store s;
+  std::vector<std::string> order;
+  std::int64_t second = 0;
+  s.Watch("/", [&](const WatchEvent&) {
+    order.push_back("first");
+    s.CancelWatch(second);
+  });
+  second = s.Watch("/", [&](const WatchEvent&) { order.push_back("second"); });
+  s.Put("/a", util::Json(1));
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "second"}));
+  s.Put("/b", util::Json(2));  // the cancel holds from the next event on
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "second", "first"}));
+}
+
+TEST(Store, WatcherAddedMidEventMissesIt) {
+  Store s;
+  int late_calls = 0;
+  bool added = false;
+  s.Watch("/", [&](const WatchEvent&) {
+    if (added) return;
+    added = true;
+    s.Watch("/", [&](const WatchEvent&) { ++late_calls; });
+  });
+  s.Put("/a", util::Json(1));
+  EXPECT_EQ(late_calls, 0);
+  s.Put("/b", util::Json(2));
+  EXPECT_EQ(late_calls, 1);
+}
+
+TEST(Store, WatchEventOutlivesReentrantDeleteOfItsKey) {
+  Store s;
+  util::Json second_saw;
+  s.Watch("/a", [&](const WatchEvent& e) {
+    if (e.type == WatchEvent::Type::kPut) s.Delete(e.kv.key);
+  });
+  s.Watch("/a", [&](const WatchEvent& e) {
+    if (e.type == WatchEvent::Type::kPut) second_saw = e.kv.value;
+  });
+  s.Put("/a", util::Json(7));
+  EXPECT_EQ(second_saw.as_int(), 7);
+  EXPECT_FALSE(s.Get("/a").ok());
 }
 
 TEST(Store, LeaseExpiryDeletesAttachedKeys) {
@@ -196,6 +308,91 @@ TEST(Registry, TelemetryRingBuffer) {
   ASSERT_EQ(series.size(), 256u);
   EXPECT_EQ(series.front().at_ns, 44);  // oldest surviving sample
   EXPECT_EQ(series.back().at_ns, 299);
+}
+
+TEST(Registry, TelemetryKeepsNewestSamplesInOrderWithOneEventPerAppend) {
+  Store store;
+  ResourceRegistry reg(store);
+  int puts = 0;
+  store.Watch("/telemetry/", [&](const WatchEvent& e) {
+    if (e.type == WatchEvent::Type::kPut) ++puts;
+  });
+  for (int i = 0; i < 300; ++i) {
+    reg.AppendTelemetry("e0", "util", {i, 0.5 * i});
+  }
+  EXPECT_EQ(puts, 300);
+  auto series = reg.GetTelemetry("e0", "util");
+  ASSERT_EQ(series.size(), 256u);
+  for (std::size_t k = 0; k < series.size(); ++k) {
+    EXPECT_EQ(series[k].at_ns, static_cast<std::int64_t>(44 + k));
+    EXPECT_DOUBLE_EQ(series[k].value, 0.5 * static_cast<double>(44 + k));
+  }
+  EXPECT_EQ(store.Get(ResourceRegistry::TelemetryKey("e0", "util"))->version,
+            300);
+}
+
+TEST(Registry, NodeWritesKeepTheKeysLease) {
+  Store store;
+  ResourceRegistry reg(store);
+  NodeRecord r{.node_id = "e0", .layer = "edge"};
+  const std::int64_t lease = store.GrantLease(1000);
+  store.Put(ResourceRegistry::NodeKey("e0"), r.ToJson(), lease);
+  r.cpu_allocated = 2.0;
+  reg.PutNode(r);
+  EXPECT_TRUE(reg.PutTrust("e0", 0.5));
+  EXPECT_EQ(store.Get(ResourceRegistry::NodeKey("e0"))->lease_id, lease);
+}
+
+TEST(Registry, PutTrustOnUnknownOrGarbageRecordWritesNothing) {
+  Store store;
+  ResourceRegistry reg(store);
+  EXPECT_FALSE(reg.PutTrust("ghost", 0.5));
+  store.Put(ResourceRegistry::NodeKey("junk"), util::Json(3));
+  EXPECT_FALSE(reg.PutTrust("junk", 0.5));
+  EXPECT_EQ(store.revision(), 1);
+  EXPECT_FALSE(store.Get(ResourceRegistry::NodeKey("ghost")).ok());
+}
+
+// The bytes PublishTrust leaves behind equal the GetNode → set trust →
+// PutNode round trip it replaced, for a canonical record and for one that
+// needs normalizing (legacy energy_mw key, an extra field, an int where
+// ToJson writes a double).
+TEST(Registry, PublishTrustBytesEqualTheRecordRoundTrip) {
+  NodeRecord canonical;
+  canonical.node_id = "e0";
+  canonical.layer = "edge";
+  canonical.kind = "hmpsoc";
+  canonical.cpu_capacity = 4.0;
+  canonical.cpu_allocated = 1.25;
+  canonical.mem_capacity_mb = 2048;
+  canonical.mem_allocated_mb = 512;
+  canonical.security_level = 2;
+  canonical.has_accelerator = true;
+  canonical.energy_mj = 850.5;
+  canonical.trust_score = 0.93;
+  util::Json legacy = util::Json::MakeObject()
+                          .Set("node_id", "e1")
+                          .Set("layer", "fog")
+                          .Set("cpu_capacity", 8)
+                          .Set("energy_mw", 123.25)
+                          .Set("note", "extra");
+  const std::vector<std::pair<std::string, util::Json>> records = {
+      {"e0", canonical.ToJson()}, {"e1", legacy}};
+  for (const auto& [id, stored] : records) {
+    Store store;
+    ResourceRegistry reg(store);
+    store.Put(ResourceRegistry::NodeKey(id), stored);
+    auto expected = NodeRecord::FromJson(stored);
+    ASSERT_TRUE(expected.ok());
+    mirto::PrivacySecurityManager psm;
+    psm.RecordOutcome(id, false);
+    expected->trust_score = psm.TrustOf(id);
+    psm.PublishTrust(reg);
+    auto kv = store.Get(ResourceRegistry::NodeKey(id));
+    ASSERT_TRUE(kv.ok());
+    EXPECT_EQ(kv->value.Dump(), expected->ToJson().Dump()) << id;
+    EXPECT_EQ(kv->version, 2) << id;
+  }
 }
 
 TEST(Registry, RecentMeanUsesWindow) {

@@ -173,6 +173,30 @@ TEST(MirtoAgent, MapeLoopRecoversFromNodeFailure) {
   EXPECT_LT(f.agent->security_manager().TrustOf(victim), 0.5);
 }
 
+// Regression: a node left the healing set only when its trust reached
+// exactly 1.0, but in double the success update from 0.7 stalls at
+// 0.999999999999999 after 646 steps, so every node that ever failed was
+// re-scored in every Analyze pass forever.
+TEST(MirtoAgent, HealingSetDrainsOnceTrustStopsMoving) {
+  AgentFixture f;
+  f.agent->RunMapeIteration();
+  ASSERT_EQ(f.agent->healing_node_count(), 0u);
+  continuum::ComputeNode* node = f.infra.FindNode("edge-0");
+  ASSERT_NE(node, nullptr);
+  node->SetUp(false);
+  f.agent->RunMapeIteration();  // one failure outcome
+  node->SetUp(true);
+  f.agent->RunMapeIteration();
+  EXPECT_EQ(f.agent->healing_node_count(), 1u);
+  for (int i = 0; i < 700; ++i) f.agent->RunMapeIteration();
+  const double trust = f.agent->security_manager().TrustOf("edge-0");
+  EXPECT_LT(trust, 1.0) << "recovery stalls below 1.0 in double";
+  EXPECT_GT(trust, 0.999);
+  EXPECT_EQ(f.agent->healing_node_count(), 0u);
+  EXPECT_FALSE(f.agent->security_manager().RecordOutcome("edge-0", true))
+      << "a drained node's next success is a no-op";
+}
+
 TEST(MirtoAgent, MonitorRecordsCumulativeEnergyInMillijoules) {
   AgentFixture f;
   continuum::ComputeNode* node = f.infra.FindNode("edge-0");
