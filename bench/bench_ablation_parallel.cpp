@@ -1,11 +1,11 @@
 // Experiment A7: deterministic parallel runtime ablation. The fork-join pool
 // (util/parallel) promises two things at once: wall-clock speedup on the
-// DSE / placement / FL hot paths, and byte-identical results at every worker
-// count. This bench measures both — a serial-vs-N-worker speedup table over
-// the three adopted workloads, with an FNV checksum per cell that MUST match
-// the serial baseline. A checksum mismatch is a correctness bug in the
-// determinism contract and fails the run (exit 1), which is how CI guards
-// the contract on real multi-core hardware.
+// DSE / exhaustive placement / FL hot paths, and byte-identical results at
+// every worker count. This bench measures both — a serial-vs-N-worker
+// speedup table over the three adopted workloads, with an FNV checksum per
+// cell that MUST match the serial baseline. A checksum mismatch is a
+// correctness bug in the determinism contract and fails the run (exit 1),
+// which is how CI guards the contract on real multi-core hardware.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -98,10 +98,13 @@ std::uint64_t RunDseSweep() {
   return util::Fnv1a64(buf);
 }
 
-std::uint64_t RunPlacementSolvers() {
+/// Exhaustive placement over n_nodes^n_tasks states: the one placement
+/// solver with enough work per region to pay for the pool (greedy and ACO
+/// run serial).
+std::uint64_t RunExhaustivePlacement() {
   swarm::PlacementProblem problem;
-  const std::size_t n_tasks = g_quick ? 24 : 64;
-  const std::size_t n_nodes = g_quick ? 12 : 24;
+  const std::size_t n_tasks = g_quick ? 5 : 6;
+  const std::size_t n_nodes = g_quick ? 8 : 10;
   for (std::size_t t = 0; t < n_tasks; ++t) {
     swarm::PlacementTask task;
     task.cpu = 0.25 + 0.05 * static_cast<double>(t % 7);
@@ -122,20 +125,14 @@ std::uint64_t RunPlacementSolvers() {
     problem.nodes.push_back(node);
   }
 
-  const swarm::PlacementSolution greedy = swarm::SolveGreedy(problem);
-  util::Rng rng(29, "bench.placement");
-  const swarm::PlacementSolution aco = swarm::SolveAco(
-      problem, rng, g_quick ? 8 : 24, g_quick ? 6 : 20, 0.35);
-
+  const auto exact = swarm::SolveExhaustive(problem);
+  util::MustOk(exact);
   std::string buf;
-  for (const int a : greedy.assignment) {
+  AppendU64(buf, static_cast<std::uint64_t>(exact->evaluations));
+  for (const int a : exact->assignment) {
     AppendU64(buf, static_cast<std::uint64_t>(a));
   }
-  AppendF64(buf, greedy.cost);
-  for (const int a : aco.assignment) {
-    AppendU64(buf, static_cast<std::uint64_t>(a));
-  }
-  AppendF64(buf, aco.cost);
+  AppendF64(buf, exact->cost);
   return util::Fnv1a64(buf);
 }
 
@@ -177,7 +174,7 @@ struct Workload {
 
 constexpr Workload kWorkloads[] = {
     {"dse_sweep", RunDseSweep},
-    {"placement", RunPlacementSolvers},
+    {"placement_exhaustive", RunExhaustivePlacement},
     {"fedavg", RunFederatedRounds},
 };
 
@@ -192,7 +189,7 @@ bool RunAblation(const std::string& out_path) {
       "=== A7: deterministic parallel runtime — serial vs pooled "
       "(%s mode) ===\n",
       g_quick ? "quick" : "full");
-  std::printf("%-10s | %-8s | %-10s | %-8s | %-18s | %s\n", "workload",
+  std::printf("%-20s | %-8s | %-10s | %-8s | %-18s | %s\n", "workload",
               "workers", "time (ms)", "speedup", "checksum", "match");
 
   util::Json rows = util::Json::MakeArray();
@@ -202,7 +199,7 @@ bool RunAblation(const std::string& out_path) {
     const auto t0 = std::chrono::steady_clock::now();
     const std::uint64_t baseline = w.run();
     const double serial_ms = MillisSince(t0);
-    std::printf("%-10s | %-8d | %-10.2f | %-8s | 0x%016llx | %s\n", w.name, 1,
+    std::printf("%-20s | %-8d | %-10.2f | %-8s | 0x%016llx | %s\n", w.name, 1,
                 serial_ms, "1.00",
                 static_cast<unsigned long long>(baseline), "ref");
     rows.Append(util::Json::MakeObject()
@@ -220,7 +217,7 @@ bool RunAblation(const std::string& out_path) {
       const bool match = checksum == baseline;
       all_match = all_match && match;
       const double speedup = ms > 0 ? serial_ms / ms : 0.0;
-      std::printf("%-10s | %-8d | %-10.2f | %-8.2f | 0x%016llx | %s\n", w.name,
+      std::printf("%-20s | %-8d | %-10.2f | %-8.2f | 0x%016llx | %s\n", w.name,
                   workers, ms, speedup,
                   static_cast<unsigned long long>(checksum),
                   match ? "yes" : "MISMATCH");
@@ -260,30 +257,12 @@ bool RunAblation(const std::string& out_path) {
 
 // --- Microbenchmarks ---------------------------------------------------------
 
-void BM_ParallelReduceSerial(benchmark::State& state) {
-  util::SetParallelWorkers(1);
-  for (auto _ : state) {
-    const double sum = util::ParallelReduce<double>(
-        100'000, 0.0,
-        [](std::size_t i) { return 1.0 / (1.0 + static_cast<double>(i)); },
-        [](double a, double b) { return a + b; });
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_ParallelReduceSerial);
-
-void BM_ParallelReducePooled(benchmark::State& state) {
+void BM_PlacementExhaustive(benchmark::State& state) {
   util::SetParallelWorkers(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    const double sum = util::ParallelReduce<double>(
-        100'000, 0.0,
-        [](std::size_t i) { return 1.0 / (1.0 + static_cast<double>(i)); },
-        [](double a, double b) { return a + b; });
-    benchmark::DoNotOptimize(sum);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(RunExhaustivePlacement());
   util::SetParallelWorkers(1);
 }
-BENCHMARK(BM_ParallelReducePooled)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_PlacementExhaustive)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -288,9 +288,6 @@ void MirtoAgent::RunMapeIteration() {
   Analyze();
   Plan();
   Execute();
-  // Pool utilization gauges ride the same cadence as the loop itself, so a
-  // Prometheus dump shows how much of the MAPE work actually fanned out.
-  telemetry::EmitParallelPoolStats();
 }
 
 void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "telemetry/telemetry.hpp"
-#include "util/parallel.hpp"
 
 namespace myrtus::sched {
 namespace {
@@ -233,39 +232,24 @@ util::StatusOr<ScheduleResult> Scheduler::ScanImpl(const PodSpec& pod,
   double best_score = -1.0;
   const NodeState* best = nullptr;
 
-  // Filter + score every node in parallel (plugins only read pod/node state),
-  // then fold the verdicts serially in node order. The fold reproduces the
-  // sequential semantics exactly: rejections list nodes in input order with
-  // the *first* failing filter's reason, and the winner is the first node
-  // whose score strictly beats all earlier ones.
-  struct NodeVerdict {
-    double score = 0.0;
-    bool feasible = false;
-    std::string rejection;
-  };
-  const std::vector<NodeVerdict> verdicts =
-      util::ParallelMap<NodeVerdict>(count, [&](std::size_t i) {
-        const NodeState& n = get(i);
-        NodeVerdict v;
-        for (const FilterPlugin& filter : filters_) {
-          if (auto reason = filter.fn(pod, n)) {
-            v.rejection = std::move(*reason);
-            return v;
-          }
-        }
-        v.feasible = true;
-        v.score = ScoreNode(pod, n);
-        return v;
-      });
+  // One pass in node order: rejections list nodes in input order with the
+  // *first* failing filter's reason, and the winner is the first node whose
+  // score strictly beats all earlier ones.
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeVerdict& v = verdicts[i];
-    if (!v.feasible) {
-      result.rejections.emplace_back(get(i).node->id(), v.rejection);
+    const NodeState& n = get(i);
+    std::optional<std::string> rejection;
+    for (const FilterPlugin& filter : filters_) {
+      rejection = filter.fn(pod, n);
+      if (rejection) break;
+    }
+    if (rejection) {
+      result.rejections.emplace_back(n.node->id(), std::move(*rejection));
       continue;
     }
-    if (v.score > best_score) {
-      best_score = v.score;
-      best = &get(i);
+    const double score = ScoreNode(pod, n);
+    if (score > best_score) {
+      best_score = score;
+      best = &n;
     }
   }
 
@@ -292,16 +276,7 @@ util::StatusOr<ScheduleResult> Scheduler::Schedule(
 }
 
 util::StatusOr<ScheduleResult> Scheduler::Schedule(
-    const PodSpec& pod, const NodeIndex& index,
-    const ScheduleOptions& opts) const {
-  const auto get = [&](std::size_t i) -> const NodeState& {
-    return index.at(i);
-  };
-  if (opts.explain) {
-    // Full per-node rejection list requested: evaluate everything through
-    // the reference pipeline.
-    return ScanImpl(pod, index.size(), get, "indexed-explain");
-  }
+    const PodSpec& pod, const NodeIndex& index) const {
   telemetry::ScopedSpan span("sched.schedule", "sched");
   span.SetAttribute("pod", pod.name);
   span.SetAttribute("path", "indexed");
@@ -367,7 +342,10 @@ util::StatusOr<ScheduleResult> Scheduler::Schedule(
   if (best == nullptr) {
     // Verdict parity on failure: the scan fallback produces the identical
     // RESOURCE_EXHAUSTED status with every node's first-failing reason.
-    return ScanImpl(pod, index.size(), get, "indexed-fallback");
+    return ScanImpl(
+        pod, index.size(),
+        [&](std::size_t i) -> const NodeState& { return index.at(i); },
+        "indexed-fallback");
   }
   if (telemetry::Enabled()) {
     span.SetAttribute("candidates", std::to_string(considered));

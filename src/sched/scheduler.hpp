@@ -85,12 +85,6 @@ struct ScheduleResult {
   std::uint64_t nodes_considered = 0;
 };
 
-struct ScheduleOptions {
-  /// Force full-scan semantics on the indexed path: evaluate every node and
-  /// report each infeasible one in `rejections` (costs O(fleet)).
-  bool explain = false;
-};
-
 class Scheduler {
  public:
   /// Default pipeline: all built-in filters, least-allocated + balanced.
@@ -113,10 +107,9 @@ class Scheduler {
       const PodSpec& pod, const std::vector<NodeState*>& nodes) const;
   /// Indexed candidate selection over `index`; verdict-identical to the scan
   /// (same winner; on failure, same rejection list via scan fallback). The
-  /// success fast path leaves `rejections` empty unless `opts.explain`.
+  /// success fast path leaves `rejections` empty.
   [[nodiscard]] util::StatusOr<ScheduleResult> Schedule(
-      const PodSpec& pod, const NodeIndex& index,
-      const ScheduleOptions& opts = {}) const;
+      const PodSpec& pod, const NodeIndex& index) const;
 
  private:
   [[nodiscard]] double ScoreNode(const PodSpec& pod, const NodeState& n) const;

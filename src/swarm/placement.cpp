@@ -65,25 +65,17 @@ PlacementSolution SolveGreedy(const PlacementProblem& problem) {
     return problem.tasks[a].cpu > problem.tasks[b].cpu;
   });
 
+  // Probe each candidate node in place on the partial assignment; strict <
+  // keeps the first lowest-index node on ties.
   for (const std::size_t t : order) {
-    // Candidate costs fan out across the pool (each shard probes on its own
-    // copy of the partial assignment); the argmin folds serially with strict
-    // <, so the first-lowest-node-index winner of the sequential loop is
-    // preserved exactly.
-    std::vector<double> costs(problem.nodes.size());
-    util::ParallelFor(problem.nodes.size(), [&](const util::Shard& shard) {
-      std::vector<int> probe = sol.assignment;
-      for (std::size_t n = shard.begin; n < shard.end; ++n) {
-        probe[t] = static_cast<int>(n);
-        costs[n] = problem.Cost(probe);
-      }
-    });
     double best_cost = std::numeric_limits<double>::infinity();
     int best_node = -1;
     for (std::size_t n = 0; n < problem.nodes.size(); ++n) {
+      sol.assignment[t] = static_cast<int>(n);
       ++sol.evaluations;
-      if (costs[n] < best_cost) {
-        best_cost = costs[n];
+      const double c = problem.Cost(sol.assignment);
+      if (c < best_cost) {
+        best_cost = c;
         best_node = static_cast<int>(n);
       }
     }
@@ -204,8 +196,6 @@ PlacementSolution SolveAco(const PlacementProblem& problem, util::Rng& rng,
   std::vector<std::vector<double>> heuristic(t, std::vector<double>(n, 1.0));
   for (std::size_t i = 0; i < t; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      std::vector<int> solo(t, -1);
-      solo[i] = static_cast<int>(j);
       double c = 0.0;
       const PlacementTask& task = problem.tasks[i];
       const PlacementNode& node = problem.nodes[j];
@@ -220,11 +210,10 @@ PlacementSolution SolveAco(const PlacementProblem& problem, util::Rng& rng,
   PlacementSolution best;
   best.cost = std::numeric_limits<double>::infinity();
   for (int it = 0; it < iterations; ++it) {
-    // Tours are built serially — roulette selection consumes `rng` in exactly
-    // the sequential order — and only the RNG-free cost evaluations fan out.
-    // The best-so-far fold stays in ant order with strict <, so the result
-    // is bit-identical to the sequential sweep at any worker count.
+    // Roulette selection consumes `rng` in ant order; the best-so-far fold
+    // uses strict <, so the first lowest-cost ant wins ties.
     std::vector<std::vector<int>> tours(static_cast<std::size_t>(ants));
+    std::vector<double> costs(static_cast<std::size_t>(ants));
     for (int a = 0; a < ants; ++a) {
       std::vector<int>& tour = tours[static_cast<std::size_t>(a)];
       tour.resize(t);
@@ -245,15 +234,12 @@ PlacementSolution SolveAco(const PlacementProblem& problem, util::Rng& rng,
         }
         tour[i] = static_cast<int>(chosen);
       }
-    }
-    const std::vector<double> costs = util::ParallelMap<double>(
-        static_cast<std::size_t>(ants),
-        [&](std::size_t a) { return problem.Cost(tours[a]); });
-    for (int a = 0; a < ants; ++a) {
+      const double cost = problem.Cost(tour);
+      costs[static_cast<std::size_t>(a)] = cost;
       ++best.evaluations;
-      if (costs[static_cast<std::size_t>(a)] < best.cost) {
-        best.cost = costs[static_cast<std::size_t>(a)];
-        best.assignment = tours[static_cast<std::size_t>(a)];
+      if (cost < best.cost) {
+        best.cost = cost;
+        best.assignment = tour;
       }
     }
     // Evaporate and reinforce with each ant's tour (quality-weighted).

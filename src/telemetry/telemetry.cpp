@@ -1,7 +1,5 @@
 #include "telemetry/telemetry.hpp"
 
-#include "util/parallel.hpp"
-
 namespace myrtus::telemetry {
 
 Telemetry& Global() {
@@ -20,23 +18,6 @@ void ResetGlobal() {
   Global().tracer.Clear();
   Global().metrics.Clear();
   Global().recorder.Clear();
-}
-
-void EmitParallelPoolStats() {
-  if (!Enabled()) return;
-  const util::ParallelPoolStats stats = util::ParallelStats();
-  MetricsRegistry& metrics = Global().metrics;
-  metrics.Set("myrtus_parallel_regions_total",
-              static_cast<double>(stats.regions));
-  metrics.Set("myrtus_parallel_pooled_regions_total",
-              static_cast<double>(stats.pooled_regions));
-  metrics.Set("myrtus_parallel_shards_total",
-              static_cast<double>(stats.shards));
-  metrics.Set("myrtus_parallel_items_total",
-              static_cast<double>(stats.items));
-  metrics.Set("myrtus_parallel_workers", static_cast<double>(stats.workers));
-  metrics.Set("myrtus_parallel_threads_started",
-              static_cast<double>(stats.threads_started));
 }
 
 }  // namespace myrtus::telemetry

@@ -43,12 +43,6 @@ inline void SetEnabled(bool on) { internal::g_enabled = on; }
 /// the flight recorder. Does not touch the enabled flag.
 void ResetGlobal();
 
-/// Snapshots util::ParallelStats() into the metrics registry (gauges under
-/// myrtus_parallel_*). util is the bottom layer and cannot see telemetry, so
-/// this bridge lives here; callers sample it at natural checkpoints (the
-/// MIRTO loop does once per MAPE iteration). No-op when telemetry is off.
-void EmitParallelPoolStats();
-
 /// RAII span on the global tracer: no-op when telemetry is disabled,
 /// otherwise starts a span as a child of the current context, makes it
 /// current, and ends it at scope exit. The workhorse for synchronous

@@ -152,19 +152,20 @@ void RequestPipeline::LaunchRequest() {
 }
 
 void RequestPipeline::StartStream(sim::SimTime until, std::uint64_t seed) {
-  auto rng = std::make_shared<util::Rng>(seed, scenario_.name);
-  // Self-rescheduling Poisson arrivals.
-  auto schedule_next = std::make_shared<std::function<void()>>();
-  *schedule_next = [this, until, rng, schedule_next] {
-    if (network_.engine().Now() >= until) return;
-    const double gap_s = rng->NextExponential(scenario_.arrival_rate_hz);
-    network_.engine().ScheduleAfter(sim::SimTime::FromSeconds(gap_s),
-                                    [this, schedule_next] {
-                                      LaunchRequest();
-                                      (*schedule_next)();
-                                    });
-  };
-  (*schedule_next)();
+  ScheduleArrival(until, std::make_shared<util::Rng>(seed, scenario_.name));
+}
+
+void RequestPipeline::ScheduleArrival(sim::SimTime until,
+                                      const std::shared_ptr<util::Rng>& rng) {
+  if (network_.engine().Now() >= until) return;
+  const double gap_s = rng->NextExponential(scenario_.arrival_rate_hz);
+  // Each pending arrival owns only the stream's Rng, so the stream holds no
+  // reference cycle and frees with the engine's queue.
+  network_.engine().ScheduleAfter(sim::SimTime::FromSeconds(gap_s),
+                                  [this, until, rng] {
+                                    LaunchRequest();
+                                    ScheduleArrival(until, rng);
+                                  });
 }
 
 void RequestPipeline::RunStage(std::size_t stage_index, std::string at_host,

@@ -18,6 +18,7 @@
 #include "dpe/pipeline.hpp"
 #include "net/transport.hpp"
 #include "sched/controller.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace myrtus::usecases {
@@ -87,6 +88,10 @@ class RequestPipeline {
   ScenarioKpis& mutable_kpis() { return kpis_; }
 
  private:
+  /// Poisson arrival: draws the next gap from `rng` and schedules one
+  /// request plus the arrival after it, until `until`.
+  void ScheduleArrival(sim::SimTime until,
+                       const std::shared_ptr<util::Rng>& rng);
   void RunStage(std::size_t stage_index, std::string at_host,
                 sim::SimTime started, double energy_acc);
   void Finish(sim::SimTime started, double energy, bool ok);

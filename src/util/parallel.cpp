@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>  // sanctioned: util/parallel is the lint determinism allowlist's one thread home
 
 namespace myrtus::util {
@@ -234,16 +233,6 @@ void ParallelFor(std::size_t n, const std::function<void(const Shard&)>& body) {
   counters.items.fetch_add(n, std::memory_order_relaxed);
   Pool::Instance().Run(count, [&](std::size_t index) {
     body(MakeShard(index, count, n));
-  });
-}
-
-void ParallelForRng(std::size_t n, std::uint64_t seed, std::string_view stream,
-                    const std::function<void(const Shard&, Rng&)>& body) {
-  if (n == 0) return;
-  const std::string stream_name(stream);  // outlive the region on all threads
-  ParallelFor(n, [&, seed](const Shard& shard) {
-    Rng rng(seed, stream_name, shard.index);
-    body(shard, rng);
   });
 }
 

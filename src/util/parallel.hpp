@@ -1,6 +1,6 @@
 // Deterministic fork-join runtime. The one sanctioned home for host threads
 // in the MYRTUS tree (the lint determinism rule allowlists exactly this
-// module): everything else draws parallelism through ParallelFor/Map/Reduce,
+// module): everything else draws parallelism through ParallelFor/ParallelMap,
 // which guarantee that a region's result is a pure function of its inputs —
 // never of the worker count or of thread scheduling.
 //
@@ -8,22 +8,18 @@
 //   * Work over [0, n) is split into static contiguous shards whose count
 //     and boundaries depend only on n — not on the configured worker count.
 //   * Shard bodies may not communicate; results are committed to
-//     shard-index-indexed slots and folded in shard-index order, so
-//     floating-point reduction order is fixed.
-//   * Randomness comes from per-shard util::Rng substreams derived from a
-//     named parent stream: shard i of stream (seed, name) always draws the
-//     same sequence, whether it ran on the caller's thread or on worker 7.
+//     shard-index- or item-indexed slots and folded serially in index order,
+//     so floating-point reduction order is fixed.
+//   * A body that needs randomness builds util::Rng(seed, stream, index)
+//     from its shard or item index, never from a stream shared across shards.
 // Consequence: SetParallelWorkers(0), (1) and (64) produce byte-identical
 // output, which is what tests/parallel_test.cpp locks in.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
-#include <utility>
 #include <vector>
 
-#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace myrtus::util {
@@ -41,9 +37,10 @@ struct Shard {
 
 /// Configured worker count. 0 and 1 both mean "run regions inline on the
 /// calling thread"; N > 1 lazily starts N-1 pool threads (the caller is the
-/// Nth worker). The default is 1: parallelism is opt-in per process (benches
-/// and the MIRTO loop turn it on), and because of the determinism contract
-/// the choice is invisible in every computed result.
+/// Nth worker). The default is 1: parallelism is opt-in per process (only
+/// bench_ablation_parallel and the worker-count tests turn it on), and
+/// because of the determinism contract the choice is invisible in every
+/// computed result.
 int ParallelWorkers();
 void SetParallelWorkers(int workers);
 
@@ -52,8 +49,8 @@ void SetParallelWorkers(int workers);
 std::size_t ParallelShardCount(std::size_t n);
 inline constexpr std::size_t kParallelMaxShards = 64;
 
-/// Monotonic counters describing pool usage since process start (telemetry
-/// bridges these into the metrics registry, see telemetry::EmitParallelPoolStats).
+/// Monotonic counters describing pool usage since process start
+/// (bench_ablation_parallel prints them).
 struct ParallelPoolStats {
   std::uint64_t regions = 0;         // fork-join regions executed
   std::uint64_t pooled_regions = 0;  // of which ran on the worker pool
@@ -71,11 +68,6 @@ ParallelPoolStats ParallelStats();
 /// internally stay safe to call from a parallel region.
 void ParallelFor(std::size_t n, const std::function<void(const Shard&)>& body);
 
-/// ParallelFor with a per-shard RNG substream: shard i receives
-/// Rng(seed, stream, i). Serial and parallel runs draw identical numbers.
-void ParallelForRng(std::size_t n, std::uint64_t seed, std::string_view stream,
-                    const std::function<void(const Shard&, Rng&)>& body);
-
 /// Maps fn over [0, n), committing results in item order: out[i] = fn(i).
 /// fn must be callable concurrently on distinct i.
 template <typename T, typename Fn>
@@ -85,46 +77,6 @@ std::vector<T> ParallelMap(std::size_t n, Fn&& fn) {
     for (std::size_t i = shard.begin; i < shard.end; ++i) out[i] = fn(i);
   });
   return out;
-}
-
-/// ParallelMap with per-shard RNG substreams: out[i] = fn(i, rng_of_shard(i)).
-template <typename T, typename Fn>
-std::vector<T> ParallelMapRng(std::size_t n, std::uint64_t seed,
-                              std::string_view stream, Fn&& fn) {
-  std::vector<T> out(n);
-  ParallelForRng(n, seed, stream,
-                 [&](const Shard& shard, Rng& rng) {
-                   for (std::size_t i = shard.begin; i < shard.end; ++i) {
-                     out[i] = fn(i, rng);
-                   }
-                 });
-  return out;
-}
-
-/// Two-phase deterministic reduction: each shard folds its items
-/// left-to-right (acc = reduce(acc, map(i)) starting from `identity`), then
-/// the per-shard accumulators are folded in shard-index order. The grouping
-/// is fixed by ParallelShardCount(n), so the result is identical for every
-/// worker count (for non-associative ops it is *the sharded* order, not the
-/// flat item order — callers that need flat order use ParallelMap + a serial
-/// fold).
-template <typename T, typename MapFn, typename ReduceFn>
-T ParallelReduce(std::size_t n, T identity, MapFn&& map, ReduceFn&& reduce) {
-  const std::size_t shards = ParallelShardCount(n);
-  if (shards == 0) return identity;
-  std::vector<T> partial(shards, identity);
-  ParallelFor(n, [&](const Shard& shard) {
-    T acc = identity;
-    for (std::size_t i = shard.begin; i < shard.end; ++i) {
-      acc = reduce(std::move(acc), map(i));
-    }
-    partial[shard.index] = std::move(acc);
-  });
-  T total = std::move(partial[0]);
-  for (std::size_t s = 1; s < shards; ++s) {
-    total = reduce(std::move(total), std::move(partial[s]));
-  }
-  return total;
 }
 
 }  // namespace myrtus::util

@@ -17,9 +17,10 @@ class Rng {
   /// components never share a sequence even with identical numeric seeds.
   Rng(std::uint64_t seed, std::string_view stream_name);
   /// Derives substream `index` of the named stream. Substreams are the unit
-  /// of parallel determinism: util::ParallelForRng hands shard `i` substream
-  /// `i`, so the numbers a shard draws depend only on (seed, name, index) —
-  /// never on how many workers executed the region or in what order.
+  /// of parallel determinism: a util::ParallelFor body that draws numbers
+  /// builds substream `shard.index` (or the item index), so what it draws
+  /// depends only on (seed, name, index) — never on how many workers
+  /// executed the region or in what order.
   Rng(std::uint64_t seed, std::string_view stream_name, std::uint64_t index);
 
   void Seed(std::uint64_t seed);

@@ -6,16 +6,18 @@
 
 namespace fixture {
 
-double ShardedSum(const std::vector<double>& xs) {
-  return myrtus::util::ParallelReduce<double>(
-      xs.size(), 0.0, [&](std::size_t i) { return xs[i]; },
-      [](double a, double b) { return a + b; });
+double MappedSum(const std::vector<double>& xs) {
+  const std::vector<double> squares = myrtus::util::ParallelMap<double>(
+      xs.size(), [&](std::size_t i) { return xs[i] * xs[i]; });
+  double sum = 0.0;
+  for (const double s : squares) sum += s;  // serial fold in item order
+  return sum;
 }
 
 void SeededFanOut(std::vector<double>& out) {
-  myrtus::util::ParallelForRng(
-      out.size(), 0xFEEDu, "fixture.fanout",
-      [&](const myrtus::util::Shard& shard, myrtus::util::Rng& rng) {
+  myrtus::util::ParallelFor(
+      out.size(), [&](const myrtus::util::Shard& shard) {
+        myrtus::util::Rng rng(0xFEEDu, "fixture.fanout", shard.index);
         for (std::size_t i = shard.begin; i < shard.end; ++i) {
           out[i] = rng.NextDouble();
         }

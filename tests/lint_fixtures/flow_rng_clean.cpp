@@ -1,5 +1,5 @@
 // Fixture: rng-substream-discipline must stay silent — parallel bodies use
-// the handed-in substream or the 3-arg indexed constructor, and every literal
+// the 3-arg indexed constructor (shard or item index), and every literal
 // (seed, stream) identity is unique.
 #include <cstddef>
 #include <cstdint>
@@ -10,13 +10,12 @@
 
 namespace fx {
 
-void HandedInSubstream(std::vector<double>& xs, std::uint64_t seed) {
-  util::ParallelForRng(xs.size(), seed, "fx.handed",
-                       [&](const util::Shard& shard, util::Rng& rng) {
-                         for (std::size_t i = shard.begin; i < shard.end; ++i) {
-                           xs[i] += rng.Uniform();
-                         }
-                       });
+std::vector<double> ItemSubstream(const std::vector<double>& xs,
+                                  std::uint64_t seed) {
+  return util::ParallelMap<double>(xs.size(), [&, seed](std::size_t i) {
+    util::Rng rng(seed, "fx.item", i);  // 3-arg keyed by item: sanctioned
+    return xs[i] + rng.Uniform();
+  });
 }
 
 void IndexedSubstream(std::vector<double>& xs, std::uint64_t seed) {

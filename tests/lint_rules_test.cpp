@@ -118,7 +118,7 @@ TEST(LintRules, DeterminismFiresOnRawThreadingOutsideParallelRuntime) {
 }
 
 TEST(LintRules, DeterminismAcceptsParallelRuntimeCallers) {
-  // Consumers of ParallelFor/Reduce never name a thread primitive, so the
+  // Consumers of ParallelFor/Map never name a thread primitive, so the
   // fixture must be clean even under an empty allowlist.
   const auto findings =
       LintFixture("determinism_thread_clean.cpp",

@@ -1,7 +1,7 @@
 // Locks in the deterministic fork-join contract of util/parallel: any worker
 // count — inline serial (0/1) or pooled (2/8) — produces byte-identical
-// results, including bodies that consume randomness, and a full MAPE world
-// emits an identical sim::Trace whether its hot loops ran serial or pooled.
+// results, including bodies that consume randomness, and a full DPE + MAPE
+// world emits an identical sim::Trace whether its DSE ran serial or pooled.
 #include "util/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -78,47 +78,18 @@ TEST(ParallelMap, CommitsInItemOrderAtAnyWorkerCount) {
   });
 }
 
-TEST(ParallelForRng, SubstreamsAreWorkerCountInvariant) {
+TEST(ParallelFor, ShardSubstreamsAreWorkerCountInvariant) {
+  // The sanctioned way for a body to draw numbers: a substream derived from
+  // its shard index, so what it draws never depends on the worker count.
   ExpectWorkerInvariant([] {
     std::vector<std::uint64_t> draws(997);
-    ParallelForRng(draws.size(), 0xABCDEFu, "test.stream",
-                   [&](const Shard& shard, Rng& rng) {
-                     for (std::size_t i = shard.begin; i < shard.end; ++i) {
-                       draws[i] = rng.NextU64();
-                     }
-                   });
+    ParallelFor(draws.size(), [&](const Shard& shard) {
+      Rng rng(0xABCDEFu, "test.stream", shard.index);
+      for (std::size_t i = shard.begin; i < shard.end; ++i) {
+        draws[i] = rng.NextU64();
+      }
+    });
     return draws;
-  });
-}
-
-TEST(ParallelForRng, ShardRngMatchesDirectSubstreamConstruction) {
-  // The substream a shard receives is pinned API behavior, not an accident of
-  // the pool: shard i of (seed, stream) is exactly Rng(seed, stream, i).
-  constexpr std::uint64_t kSeed = 77;
-  std::vector<std::uint64_t> first_draw(8, 0);
-  SetParallelWorkers(4);
-  ParallelForRng(first_draw.size(), kSeed, "pinned",
-                 [&](const Shard& shard, Rng& rng) {
-                   // 8 items -> 8 shards, one item each.
-                   ASSERT_EQ(shard.size(), 1u);
-                   first_draw[shard.index] = rng.NextU64();
-                 });
-  SetParallelWorkers(1);
-  for (std::size_t i = 0; i < first_draw.size(); ++i) {
-    Rng direct(kSeed, "pinned", i);
-    EXPECT_EQ(first_draw[i], direct.NextU64()) << "substream " << i;
-  }
-}
-
-TEST(ParallelReduce, FixedFoldOrderMakesFloatSumsExact) {
-  ExpectWorkerInvariant([] {
-    // Catastrophic-cancellation-prone values: any change in association
-    // changes the double result, so equality across worker counts proves the
-    // fold order really is fixed.
-    return ParallelReduce<double>(
-        50'000, 0.0,
-        [](std::size_t i) { return 1.0 / (1.0 + static_cast<double>(i * 7)); },
-        [](double a, double b) { return a + b; });
   });
 }
 
@@ -129,9 +100,9 @@ TEST(ParallelFor, NestedRegionsRunInlineAndStayCorrect) {
       for (std::size_t i = shard.begin; i < shard.end; ++i) {
         // A helper that parallelizes internally must be safe to call from a
         // shard body; the nested region runs inline on this worker.
-        out[i] = ParallelReduce<std::size_t>(
-            i % 17, std::size_t{0}, [](std::size_t k) { return k + 1; },
-            [](std::size_t a, std::size_t b) { return a + b; });
+        const std::vector<std::size_t> terms = ParallelMap<std::size_t>(
+            i % 17, [](std::size_t k) { return k + 1; });
+        out[i] = std::accumulate(terms.begin(), terms.end(), std::size_t{0});
       }
     });
     return out;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "swarm/placement.hpp"
 #include "swarm/pso.hpp"
@@ -116,6 +117,58 @@ TEST(Placement, PsoAndAcoBeatRandom) {
   EXPECT_LT(aco.cost, random_cost);
   EXPECT_TRUE(p.Feasible(pso.assignment));
   EXPECT_TRUE(p.Feasible(aco.assignment));
+}
+
+/// The full-size 64-task x 24-node instance of bench_ablation_parallel (A7).
+PlacementProblem A7Problem() {
+  PlacementProblem p;
+  for (std::size_t t = 0; t < 64; ++t) {
+    PlacementTask task;
+    task.cpu = 0.25 + 0.05 * static_cast<double>(t % 7);
+    task.mem_mb = 64 + 16 * static_cast<double>(t % 5);
+    task.traffic_kbps = 10.0 * static_cast<double>(1 + t % 9);
+    task.min_security = static_cast<int>(t % 3);
+    task.needs_accelerator = (t % 11) == 0;
+    p.tasks.push_back(task);
+  }
+  for (std::size_t n = 0; n < 24; ++n) {
+    PlacementNode node;
+    node.cpu_capacity = 4.0 + static_cast<double>(n % 3);
+    node.mem_capacity_mb = 2048;
+    node.power_mw_per_cpu = 300.0 + 100.0 * static_cast<double>(n % 4);
+    node.latency_to_consumer_ms = 1.0 + static_cast<double>(n % 6);
+    node.security_level = static_cast<int>(n % 4);
+    node.has_accelerator = (n % 5) == 0;
+    p.nodes.push_back(node);
+  }
+  return p;
+}
+
+// Exact values pinned from the fork-join implementation: any change to a
+// tie-break, the evaluation order or the RNG draw order moves at least one.
+TEST(Placement, GreedyIsPinnedOnA7Instance) {
+  const PlacementSolution s = SolveGreedy(A7Problem());
+  const std::vector<int> expected = {
+      20, 1,  6,  12, 1,  6,  12, 13, 19, 20, 13, 10, 12, 1,  7,  0,
+      1,  18, 8,  13, 18, 0,  15, 7,  0,  6,  18, 0,  1,  2,  0,  13,
+      18, 0,  6,  18, 8,  1,  18, 12, 13, 18, 12, 13, 15, 20, 1,  6,
+      0,  6,  19, 12, 18, 6,  12, 5,  7,  12, 13, 6,  0,  18, 6,  8};
+  EXPECT_EQ(s.assignment, expected);
+  EXPECT_EQ(s.cost, 16.527373958333321);
+  EXPECT_EQ(s.evaluations, 64 * 24);
+}
+
+TEST(Placement, SeededAcoIsPinnedOnA7Instance) {
+  util::Rng rng(29, "bench.placement");
+  const PlacementSolution s = SolveAco(A7Problem(), rng, 24, 20, 0.35);
+  const std::vector<int> expected = {
+      20, 11, 18, 8,  19, 6,  12, 9,  18, 4,  9,  10, 0,  1,  18, 14,
+      18, 6,  16, 13, 23, 5,  15, 6,  12, 21, 19, 16, 1,  15, 13, 18,
+      18, 10, 22, 6,  22, 6,  6,  18, 15, 7,  12, 7,  10, 13, 10, 14,
+      14, 6,  14, 20, 15, 14, 2,  10, 7,  20, 6,  22, 0,  1,  18, 1};
+  EXPECT_EQ(s.assignment, expected);
+  EXPECT_EQ(s.cost, 20.211375694444442);
+  EXPECT_EQ(s.evaluations, 24 * 20);
 }
 
 TEST(Placement, CostPenalizesOverCommit) {

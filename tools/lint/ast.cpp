@@ -175,9 +175,8 @@ std::string ParallelCalleeBefore(const std::string& code,
   }
   std::size_t begin = 0;
   const std::string name = IdentifierBefore(code, p, &begin);
-  static const std::array<const char*, 5> kParallel = {
-      "ParallelFor", "ParallelForRng", "ParallelMap", "ParallelMapRng",
-      "ParallelReduce"};
+  static const std::array<const char*, 2> kParallel = {"ParallelFor",
+                                                        "ParallelMap"};
   for (const char* candidate : kParallel) {
     if (name == candidate) return name;
   }

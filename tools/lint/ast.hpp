@@ -61,7 +61,7 @@ struct LambdaInfo {
   std::vector<std::pair<std::string, std::string>> init_value_captures;
   std::vector<std::string> param_names;     // "" for unnamed parameters
   std::vector<std::string> param_texts;     // full declaration text per param
-  /// "ParallelFor", "ParallelMap", ... when this lambda is a *direct*
+  /// "ParallelFor" or "ParallelMap" when this lambda is a *direct*
   /// argument of a util::Parallel* call; empty otherwise. Lambdas wrapped in
   /// another call first (ParallelFor(n, wrap([...]))) are not attributed.
   std::string parallel_callee;

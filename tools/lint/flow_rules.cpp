@@ -202,7 +202,7 @@ std::vector<Finding> CheckParallelCaptureRace(const FileContext& file,
     const std::size_t bb = lambda.body_begin + 1;
     const std::size_t be = lambda.body_end;
 
-    // The shard parameter (For/ForRng variants).
+    // The shard parameter (ParallelFor).
     std::string shard_name;
     for (std::size_t i = 0; i < lambda.param_texts.size(); ++i) {
       if (FindTokenInRange(lambda.param_texts[i], "Shard", 0,
@@ -213,12 +213,11 @@ std::vector<Finding> CheckParallelCaptureRace(const FileContext& file,
 
     // Tokens whose presence in a subscript marks the slot as shard-owned:
     // the shard itself (shard.index / shard.begin arithmetic), induction
-    // variables initialised from <shard>.begin, and — for the Map/Reduce
-    // variants, whose bodies receive a per-item index — the first parameter.
+    // variables initialised from <shard>.begin, and — for ParallelMap,
+    // whose body receives a per-item index — the first parameter.
     std::set<std::string> safe_tokens;
     if (!shard_name.empty()) safe_tokens.insert(shard_name);
     if (lambda.parallel_callee != "ParallelFor" &&
-        lambda.parallel_callee != "ParallelForRng" &&
         !lambda.param_names.empty() && !lambda.param_names[0].empty()) {
       safe_tokens.insert(lambda.param_names[0]);
     }
@@ -921,8 +920,8 @@ std::vector<Finding> CheckRngDiscipline(const std::vector<FileContext>& files,
         findings.push_back(
             {files[i].path, site.line, "rng-substream-discipline",
              "util::Rng constructed inside a parallel body without a shard "
-             "substream; use the Rng handed in by ParallelForRng/MapRng or "
-             "the 3-arg (seed, stream, shard.index) constructor",
+             "substream; use the 3-arg indexed constructor "
+             "util::Rng(seed, stream, shard.index)",
              site.col});
       }
       // The duplicate-identity half only covers production modules: tests

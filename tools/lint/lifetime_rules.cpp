@@ -36,9 +36,8 @@ constexpr std::array<SeedSink, 14> kSeedSinks = {{
 /// pools included: Pool::Run stores the shard body in a member yet joins
 /// before return). Never classified as sinks, seed or structural.
 bool IsImmediateCallee(const std::string& name) {
-  static const std::array<const char*, 8> kImmediate = {
-      "ParallelFor", "ParallelForRng", "ParallelMap", "ParallelMapRng",
-      "ParallelReduce", "Run", "RunUntil", "Step"};
+  static const std::array<const char*, 5> kImmediate = {
+      "ParallelFor", "ParallelMap", "Run", "RunUntil", "Step"};
   return std::find_if(kImmediate.begin(), kImmediate.end(),
                       [&](const char* n) { return name == n; }) !=
          kImmediate.end();

@@ -51,7 +51,7 @@ struct Options {
   /// clock), and util/parallel is the one sanctioned home for std::thread —
   /// its fork-join pool guarantees results independent of thread scheduling,
   /// which is the property the rule exists to protect. Everything else draws
-  /// parallelism through util::ParallelFor/Map/Reduce.
+  /// parallelism through util::ParallelFor/ParallelMap.
   std::vector<std::string> determinism_allowlist = {
       "bench/", "src/telemetry/export.", "src/telemetry/recorder.",
       "src/util/parallel."};
