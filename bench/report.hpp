@@ -18,6 +18,7 @@
 //     "sim_ms": 456.7,                        // simulated time covered (0 = n/a)
 //     "metrics": { "<name>": { "value": 1.0, "unit": "ms",
 //                              "higher_is_better": false, "gate": true } },
+//                  // unit "hash": an identity witness, gated for equality
 //     "extra": { ... }                        // free-form, never diffed
 //   }
 #pragma once

@@ -18,6 +18,7 @@ void Topology::AddLink(Link link) {
   AddHost(link.to);
   const std::size_t index = links_.size();
   out_links_[host_index_[link.from]].push_back(index);
+  link_dst_.push_back(host_index_[link.to]);
   links_.push_back(std::move(link));
   link_up_.push_back(true);
   routes_dirty_ = true;
@@ -65,9 +66,8 @@ void Topology::EnsureRoutesFresh() const {
       if (d != dist[u]) continue;
       for (const std::size_t li : out_links_[u]) {
         if (!link_up_[li]) continue;
-        const Link& l = links_[li];
-        const std::size_t v = host_index_.at(l.to);
-        const std::int64_t nd = d + l.latency.ns;
+        const std::size_t v = link_dst_[li];
+        const std::int64_t nd = d + links_[li].latency.ns;
         if (nd < dist[v]) {
           dist[v] = nd;
           first_link[v] = (u == src) ? static_cast<std::int32_t>(li) : first_link[u];
@@ -108,7 +108,7 @@ util::StatusOr<Route> Topology::FindRoute(const HostId& from,
     route.link_indices.push_back(static_cast<std::size_t>(li));
     route.propagation += l.latency;
     route.min_bandwidth_bps = std::min(route.min_bandwidth_bps, l.bandwidth_bps);
-    cur = host_index_.at(l.to);
+    cur = link_dst_[static_cast<std::size_t>(li)];
   }
   if (cur == dst && !route.link_indices.empty()) return route;
   return util::Status::NotFound("no route from " + from + " to " + to);

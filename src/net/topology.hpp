@@ -68,6 +68,7 @@ class Topology {
   std::vector<HostId> hosts_;
   std::map<HostId, std::size_t> host_index_;
   std::vector<Link> links_;
+  std::vector<std::size_t> link_dst_;  // per link: index of `to` in hosts_
   std::vector<bool> link_up_;
   std::vector<std::vector<std::size_t>> out_links_;  // per host
 

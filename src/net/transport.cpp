@@ -103,7 +103,7 @@ void Network::DeliverHop(Message msg, Route route, std::size_t hop_index) {
     return;
   }
 
-  LinkState& state = link_state_[li];
+  LinkState& state = StateOf(li);
   if (state.busy) {
     // Enqueue by (priority desc, seq asc); vector kept sorted on insert so
     // the next frame to send is always at the back.
@@ -135,7 +135,7 @@ void Network::StartTransmission(std::size_t link_index, Message msg,
                 rng_.NextDouble() * static_cast<double>(link.jitter.ns)))
           : sim::SimTime::Zero();
 
-  link_state_[link_index].busy = true;
+  StateOf(link_index).busy = true;
   bytes_sent_ += wire_bytes;
   if (telemetry::Enabled()) {
     telemetry::Global().metrics.Add(
@@ -153,6 +153,13 @@ void Network::StartTransmission(std::size_t link_index, Message msg,
                       hop_index]() mutable {
                        DeliverHop(std::move(m), std::move(route), hop_index + 1);
                      });
+}
+
+Network::LinkState& Network::StateOf(std::size_t link_index) {
+  if (link_index >= link_state_.size()) {
+    link_state_.resize(topology_.link_count());
+  }
+  return link_state_[link_index];
 }
 
 void Network::OnLinkFree(std::size_t link_index) {

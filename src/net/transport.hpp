@@ -170,9 +170,13 @@ class Network {
   };
   struct LinkState {
     bool busy = false;
-    std::vector<PendingTx> waiting;  // kept as a max-heap by (priority, -seq)
+    // Sorted ascending by (priority, -seq): the next frame to send is at
+    // the back.
+    std::vector<PendingTx> waiting;
   };
-  std::map<std::size_t, LinkState> link_state_;
+  /// Indexed by link; grows as the topology gains links.
+  std::vector<LinkState> link_state_;
+  LinkState& StateOf(std::size_t link_index);
   std::uint64_t next_tx_seq_ = 1;
 
   // Retry layer state: breakers are per destination host; the backoff jitter

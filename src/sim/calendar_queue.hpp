@@ -10,19 +10,24 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace myrtus::sim {
 
-/// One queued engine event. `seq` is assigned by the engine and breaks ties
-/// at equal timestamps (FIFO); `id` keys cancellation tombstones.
+/// One queued engine event: a 24-byte plain record, no callback. `seq` is
+/// assigned by the engine and breaks ties at equal timestamps (FIFO).
+/// `slot` and `generation` name the engine's slab slot holding the callback;
+/// the entry is live only while the slot still carries that generation.
+/// `periodic` marks a periodic series' tick, which the engine counts as
+/// executed even after the series was cancelled.
 struct QueuedEvent {
   std::int64_t at_ns = 0;
   std::uint64_t seq = 0;
-  std::uint64_t id = 0;
-  std::function<void()> cb;
+  std::uint32_t slot : 31 = 0;
+  std::uint32_t periodic : 1 = 0;
+  std::uint32_t generation = 0;
 };
+static_assert(sizeof(QueuedEvent) == 24, "queued events stay 24-byte PODs");
 
 class CalendarQueue {
  public:

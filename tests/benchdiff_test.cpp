@@ -57,6 +57,17 @@ TEST(Benchdiff, PerMetricOverrideTightensOneGate) {
             1);
 }
 
+TEST(Benchdiff, HashMetricMustMatchExactly) {
+  // The candidate's hash is lower by one unit in 2^52: "better" by a
+  // vanishing margin for a lower-is-better metric, yet any change to an
+  // identity witness regresses, whatever the threshold.
+  const std::string base = kFixtures + "/hash_base.json";
+  const std::string changed = kFixtures + "/hash_changed.json";
+  EXPECT_EQ(RunBenchdiff(base + " " + base), 0);
+  EXPECT_EQ(RunBenchdiff("--threshold=50 " + base + " " + changed), 1);
+  EXPECT_EQ(RunBenchdiff(changed + " " + base), 1);
+}
+
 TEST(Benchdiff, UsageAndParseErrorsExitTwo) {
   EXPECT_EQ(RunBenchdiff(""), 2);
   EXPECT_EQ(RunBenchdiff(kFixtures + "/base.json"), 2);

@@ -25,7 +25,7 @@ using ReferenceHeap =
     std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, Later>;
 
 QueuedEvent Ev(std::int64_t at_ns, std::uint64_t seq) {
-  return QueuedEvent{at_ns, seq, seq, nullptr};
+  return QueuedEvent{at_ns, seq};
 }
 
 TEST(CalendarQueue, PopsByTimestampThenSeq) {

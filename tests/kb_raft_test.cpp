@@ -2,6 +2,8 @@
 // leader failover, partitions via link failures, and client semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "kb/cluster.hpp"
 #include "net/transport.hpp"
 
@@ -345,6 +347,34 @@ TEST(Raft, TermsAreMonotonic) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_GE(f.cluster->replica(i).raft->current_term(), t1);
   }
+}
+
+// Regression: ArmElectionTimer cancels the election timer's own handle from
+// inside that timer's callback (through StartElection). Cancel after fire
+// used to leave a tombstone that nothing ever erased, about one per
+// election. Engine state must not grow with the number of elections.
+TEST(Raft, EngineStateStaysFlatAcrossThousandsOfElections) {
+  Fixture f(3);
+  f.Settle();
+  std::size_t live_max = 0;
+  constexpr int kFailovers = 1000;
+  for (int i = 0; i < kFailovers; ++i) {
+    const int leader = f.cluster->LeaderIndex();
+    ASSERT_GE(leader, 0) << "no leader before failover " << i;
+    f.cluster->Crash(static_cast<std::size_t>(leader));
+    f.Settle(SimTime::Seconds(1));
+    f.cluster->Recover(static_cast<std::size_t>(leader));
+    f.Settle(SimTime::Millis(500));
+    live_max = std::max(live_max, f.engine.live_events());
+  }
+  std::int64_t term = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    term = std::max(term, f.cluster->replica(i).raft->current_term());
+  }
+  EXPECT_GE(term, kFailovers);  // at least one election per failover
+  // Live events are the timers and in-flight RPCs of three replicas: a
+  // small constant, where a per-election leak would reach the thousands.
+  EXPECT_LE(live_max, 16u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "sim/trace.hpp"
 
 namespace myrtus::sim {
@@ -127,6 +130,130 @@ TEST(Engine, RunWithEventLimit) {
   }
   EXPECT_EQ(e.Run(7), 7u);
   EXPECT_EQ(count, 7);
+}
+
+// Regression: RunUntil used to set the clock to the deadline even when
+// Stop() ended it early, so the next run fired earlier events in the past.
+TEST(Engine, RunUntilStoppedEarlyKeepsTheClockAtTheLastEvent) {
+  Engine e;
+  std::vector<std::int64_t> fired_at;
+  e.ScheduleAt(SimTime::Millis(10), [&] {
+    fired_at.push_back(e.Now().ns);
+    e.Stop();
+  });
+  e.ScheduleAt(SimTime::Millis(20), [&] { fired_at.push_back(e.Now().ns); });
+  EXPECT_EQ(e.RunUntil(SimTime::Millis(100)), 1u);
+  EXPECT_EQ(e.Now(), SimTime::Millis(10));
+  e.Run();
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{SimTime::Millis(10).ns,
+                                                 SimTime::Millis(20).ns}));
+  EXPECT_EQ(e.Now(), SimTime::Millis(20));
+}
+
+TEST(Engine, CancelReleasesTheCallbackCapturesAtOnce) {
+  Engine e;
+  auto payload = std::make_shared<int>(7);
+  const EventHandle h =
+      e.ScheduleAfter(SimTime::Seconds(10), [payload] { ++*payload; });
+  const EventHandle tick =
+      e.SchedulePeriodic(SimTime::Seconds(10), [payload] { ++*payload; });
+  EXPECT_EQ(payload.use_count(), 3);
+  e.Cancel(h);
+  e.Cancel(tick);
+  EXPECT_EQ(payload.use_count(), 1);  // not held until the deadline
+  EXPECT_EQ(e.live_events(), 0u);
+  EXPECT_EQ(e.pending_events(), 2u);  // the dead entries stay queued
+  e.Run();
+  EXPECT_EQ(*payload, 7);
+}
+
+TEST(Engine, StaleHandleCannotCancelTheSlotsNextEvent) {
+  Engine e;
+  bool first = false;
+  bool second = false;
+  const EventHandle stale =
+      e.ScheduleAt(SimTime::Millis(5), [&] { first = true; });
+  e.Cancel(stale);
+  // The freed slot is reused by the next event.
+  e.ScheduleAt(SimTime::Millis(5), [&] { second = true; });
+  EXPECT_EQ(e.live_events(), 1u);
+  e.Cancel(stale);
+  EXPECT_EQ(e.live_events(), 1u);
+  e.Run();
+  EXPECT_FALSE(first);
+  EXPECT_TRUE(second);
+}
+
+TEST(Engine, CancelAfterFireIsANoOp) {
+  Engine e;
+  int fired = 0;
+  const EventHandle h = e.ScheduleAt(SimTime::Millis(1), [&] { ++fired; });
+  e.Run();
+  EXPECT_EQ(e.live_events(), 0u);
+  e.Cancel(h);
+  int later = 0;
+  e.ScheduleAt(SimTime::Millis(2), [&] { ++later; });
+  e.Cancel(h);  // the slot now holds the new event; h must not reach it
+  e.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(later, 1);
+  EXPECT_EQ(e.live_events(), 0u);
+  EXPECT_EQ(e.pending_events(), 0u);
+}
+
+TEST(Engine, CancelOwnHandleInsideOneShotCallbackIsANoOp) {
+  Engine e;
+  EventHandle self;
+  int next = 0;
+  self = e.ScheduleAt(SimTime::Millis(1), [&] {
+    // The slot is already free: this schedule may reuse it, and cancelling
+    // the firing event's own handle must not reach the new event.
+    e.ScheduleAfter(SimTime::Millis(1), [&] { ++next; });
+    e.Cancel(self);
+  });
+  e.Run();
+  EXPECT_EQ(next, 1);
+}
+
+TEST(Engine, PeriodicThatCancelsItselfAndSchedulesStopsTheSeries) {
+  Engine e;
+  int ticks = 0;
+  int follow_up = 0;
+  EventHandle h;
+  h = e.SchedulePeriodic(SimTime::Millis(10), [&] {
+    ++ticks;
+    e.Cancel(h);
+    // May land in the series' just-freed slot.
+    e.ScheduleAfter(SimTime::Millis(10), [&] { ++follow_up; });
+  });
+  e.RunUntil(SimTime::Seconds(1));
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(follow_up, 1);
+  EXPECT_EQ(e.live_events(), 0u);
+  EXPECT_EQ(e.pending_events(), 0u);
+}
+
+TEST(Engine, CancelledPeriodicsQueuedTickStillCountsAsExecuted) {
+  Engine e;
+  int ticks = 0;
+  const EventHandle h =
+      e.SchedulePeriodic(SimTime::Millis(10), [&] { ++ticks; });
+  e.RunUntil(SimTime::Millis(15));
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(e.executed_events(), 1u);
+  e.Cancel(h);
+  EXPECT_EQ(e.pending_events(), 1u);  // the 20 ms tick, now dead
+  // The dead tick fires as a no-op, counted, and advances the clock; a dead
+  // one-shot would be dropped uncounted.
+  EXPECT_EQ(e.Run(), 1u);
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(e.executed_events(), 2u);
+  EXPECT_EQ(e.Now(), SimTime::Millis(20));
+
+  const EventHandle one_shot = e.ScheduleAfter(SimTime::Millis(1), [] {});
+  e.Cancel(one_shot);
+  EXPECT_EQ(e.Run(), 0u);
+  EXPECT_EQ(e.executed_events(), 2u);
 }
 
 TEST(Trace, AggregatesAndSelects) {

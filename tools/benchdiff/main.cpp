@@ -7,7 +7,8 @@
 //
 // --threshold is the default allowed regression in percent; --metric
 // overrides it per metric. Direction comes from each metric's
-// higher_is_better flag. Exit codes: 0 ok, 1 regression (including a gated
+// higher_is_better flag. A gated metric whose unit is "hash" is an identity
+// witness: any difference is a regression, whatever the threshold. Exit codes: 0 ok, 1 regression (including a gated
 // baseline metric missing from the candidate), 2 usage or parse error.
 #include <cmath>
 #include <cstdio>
@@ -125,7 +126,9 @@ int main(int argc, char** argv) {
     const auto it = per_metric.find(name);
     const double threshold = it != per_metric.end() ? it->second
                                                     : default_threshold;
-    const bool regressed = delta_pct > threshold;
+    const bool regressed = row.at("unit").as_string() == "hash"
+                               ? cand_value != base_value
+                               : delta_pct > threshold;
     if (regressed) ++regressions;
     std::printf("%-34s | %12.4g | %12.4g | %+9.2f | %s\n", name.c_str(),
                 base_value, cand_value,
