@@ -14,7 +14,6 @@
 #include "continuum/device.hpp"
 #include "security/policy.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "util/status.hpp"
 
 namespace myrtus::continuum {

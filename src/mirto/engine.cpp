@@ -48,11 +48,9 @@ MirtoEngine::MirtoEngine(net::Network& network,
         AuthModule(util::BytesOf(config_.auth_secret)), agent_config);
 
     // Place the agent host near its layer in the topology.
-    const std::string attach_point =
-        layer == continuum::Layer::kEdge
-            ? infra_.DefaultGateway()
-            : (layer == continuum::Layer::kFog ? infra_.DefaultGateway()
-                                               : std::string("cloud-0"));
+    const std::string attach_point = layer == continuum::Layer::kCloud
+                                         ? std::string("cloud-0")
+                                         : infra_.DefaultGateway();
     if (!attach_point.empty()) {
       network_.topology().AddBidirectional(AgentHost(layer), attach_point,
                                            sim::SimTime::Micros(200), 1e9);

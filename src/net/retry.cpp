@@ -259,7 +259,6 @@ void Network::HandleAttemptFailure(std::shared_ptr<RetryOp> op,
                     {{"method", op->method}});
     tel.metrics.Observe("myrtus_net_retry_backoff_ms", backoff.ToMillisF());
   }
-  trace_.Emit(engine_.Now(), "retry", op->method, static_cast<double>(op->attempt));
   engine_.ScheduleAfter(backoff, [this, op = std::move(op)]() mutable {
     RunRetryAttempt(std::move(op));
   });

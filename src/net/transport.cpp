@@ -89,14 +89,10 @@ void Network::DeliverHop(Message msg, Route route, std::size_t hop_index) {
   }
   const std::size_t li = route.link_indices[hop_index];
   const Link& link = topology_.link(li);
-  const std::size_t wire_bytes =
-      msg.body_bytes + ProtocolOverheadBytes(msg.protocol);
 
   // Loss check per hop.
   if (link.loss_rate > 0.0 && rng_.NextBool(link.loss_rate)) {
     ++dropped_;
-    trace_.Emit(engine_.Now(), link.from + "->" + link.to, "drop",
-                static_cast<double>(wire_bytes));
     if (telemetry::Enabled()) {
       telemetry::Global().metrics.Add("myrtus_net_drops_total");
     }
@@ -116,7 +112,6 @@ void Network::DeliverHop(Message msg, Route route, std::size_t hop_index) {
           return a.seq > b.seq;  // older (smaller seq) closer to the back
         });
     state.waiting.insert(it, std::move(pending));
-    trace_.Emit(engine_.Now(), link.from + "->" + link.to, "queued", 1.0);
     return;
   }
   StartTransmission(li, std::move(msg), std::move(route), hop_index);

@@ -14,7 +14,6 @@
 #include "net/retry.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -60,7 +59,6 @@ class Network {
   [[nodiscard]] Topology& topology() { return topology_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
-  [[nodiscard]] sim::Trace& trace() { return trace_; }
 
   /// Registers the datagram handler for a host (one per host; later
   /// registrations replace earlier ones).
@@ -138,7 +136,6 @@ class Network {
   sim::Engine& engine_;
   Topology topology_;
   util::Rng rng_;
-  sim::Trace trace_;
   std::int64_t tracer_clock_token_ = 0;  // Tracer::set_clock installation
 
   std::map<HostId, MessageHandler> handlers_;

@@ -162,7 +162,9 @@ util::StatusOr<std::string> Cluster::TryBind(PodId id) {
     return util::Status::Internal("scheduler chose unknown node");
   }
   MYRTUS_RETURN_IF_ERROR(CommitBind(id, *target));
-  metrics_.Inc("pods_bound");
+  if (telemetry::Enabled()) {
+    telemetry::Global().metrics.Add("myrtus_sim_pods_bound");
+  }
   span.SetAttribute("node", result->node_id);
   return result->node_id;
 }
@@ -206,7 +208,9 @@ util::StatusOr<std::string> Cluster::BindPodToNode(const PodSpec& spec,
     pods_.Erase(id);
     return committed;
   }
-  metrics_.Inc("pods_bound_directed");
+  if (telemetry::Enabled()) {
+    telemetry::Global().metrics.Add("myrtus_sim_pods_bound_directed");
+  }
   return node_id;
 }
 
@@ -286,8 +290,9 @@ util::StatusOr<std::string> Cluster::BindPodWithPreemption(const PodSpec& spec) 
   auto rebind = TryBind(id);
   if (rebind.ok()) {
     evictions_ += evicted.size();
-    for (std::size_t i = 0; i < evicted.size(); ++i) {
-      metrics_.Inc("pods_evicted");
+    if (telemetry::Enabled() && !evicted.empty()) {
+      telemetry::Global().metrics.Add("myrtus_sim_pods_evicted",
+                                      static_cast<double>(evicted.size()));
     }
     return rebind;
   }
@@ -298,9 +303,12 @@ util::StatusOr<std::string> Cluster::BindPodWithPreemption(const PodSpec& spec) 
     NodeState& home = index_.at(static_cast<std::size_t>(rit->node_slot));
     if (util::Status restored = CommitBind(rit->id, home); restored.ok()) {
       pods_.SetBoundAtNs(rit->id, rit->bound_at_ns);
-      metrics_.Inc("preemption_rollbacks");
-    } else {
-      metrics_.Inc("preemption_rollback_failures");
+      if (telemetry::Enabled()) {
+        telemetry::Global().metrics.Add("myrtus_sim_preemption_rollbacks");
+      }
+    } else if (telemetry::Enabled()) {
+      telemetry::Global().metrics.Add(
+          "myrtus_sim_preemption_rollback_failures");
     }
   }
   return rebind.status();
@@ -384,7 +392,9 @@ void Cluster::Reconcile() {
       pods_.SetPhase(id, PodPhase::kEvicted);
       MarkUnbound(id);
       ++evictions_;
-      metrics_.Inc("pods_evicted_node_failure");
+      if (telemetry::Enabled()) {
+        telemetry::Global().metrics.Add("myrtus_sim_pods_evicted_node_failure");
+      }
     }
   }
 
@@ -395,7 +405,10 @@ void Cluster::Reconcile() {
       const double per_replica = std::max(1e-9, dep.pod_template.cpu_request);
       const int desired = static_cast<int>(std::ceil(demand / per_replica));
       dep.replicas = std::clamp(desired, dep.min_replicas, dep.max_replicas);
-      metrics_.Set("autoscale_" + name, dep.replicas);
+      if (telemetry::Enabled()) {
+        telemetry::Global().metrics.Set("myrtus_sim_autoscale_" + name,
+                                        dep.replicas);
+      }
     }
   }
 
@@ -445,8 +458,11 @@ void Cluster::Reconcile() {
       unbound_.push_back(id);
     }
   }
-  metrics_.Set("running_pods", static_cast<double>(RunningPods()));
-  metrics_.Set("pending_pods", static_cast<double>(PendingPods()));
+  if (telemetry::Enabled()) {
+    auto& metrics = telemetry::Global().metrics;
+    metrics.Set("myrtus_sim_running_pods", static_cast<double>(RunningPods()));
+    metrics.Set("myrtus_sim_pending_pods", static_cast<double>(PendingPods()));
+  }
 }
 
 void Cluster::StartReconcileLoop(sim::SimTime period) {

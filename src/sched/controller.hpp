@@ -26,7 +26,6 @@
 #include "sched/pod_ledger.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace myrtus::sched {
 
@@ -118,7 +117,6 @@ class Cluster {
   void StartReconcileLoop(sim::SimTime period);
   void StopReconcileLoop();
 
-  [[nodiscard]] sim::Metrics& metrics() { return metrics_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   [[nodiscard]] std::uint64_t reschedules() const { return reschedules_; }
   [[nodiscard]] const NodeIndex& index() const { return index_; }
@@ -158,7 +156,6 @@ class Cluster {
   std::size_t running_count_ = 0;
   std::vector<PodEvents> pod_listeners_;
   sim::EventHandle reconcile_loop_;
-  sim::Metrics metrics_;
   std::uint64_t evictions_ = 0;
   std::uint64_t reschedules_ = 0;
   std::uint64_t name_counter_ = 0;

@@ -7,12 +7,10 @@
 
 namespace myrtus::sim {
 
-ChaosController::ChaosController(Engine& engine, std::uint64_t seed,
-                                 Trace* trace)
+ChaosController::ChaosController(Engine& engine, std::uint64_t seed)
     : engine_(engine),
       guard_(std::make_shared<LifetimeGuard>(LifetimeGuard{this})),
-      rng_(seed, "chaos"),
-      trace_(trace) {}
+      rng_(seed, "chaos") {}
 
 ChaosController::~ChaosController() { guard_->self = nullptr; }
 
@@ -89,7 +87,6 @@ void ChaosController::Inject(const std::string& name) {
   ++injections_;
   if (it->second.inject) it->second.inject();
   timeline_.push_back({engine_.Now(), name, true});
-  if (trace_) trace_->Emit(engine_.Now(), "chaos", "inject:" + name, 1.0);
   if (telemetry::Enabled()) {
     auto& tel = telemetry::Global();
     tel.metrics.Add("myrtus_chaos_injections_total", 1.0, {{"target", name}});
@@ -114,7 +111,6 @@ void ChaosController::Restore(const std::string& name) {
   ++restores_;
   if (it->second.restore) it->second.restore();
   timeline_.push_back({engine_.Now(), name, false});
-  if (trace_) trace_->Emit(engine_.Now(), "chaos", "restore:" + name, 1.0);
   if (telemetry::Enabled()) {
     auto& tel = telemetry::Global();
     tel.metrics.Add("myrtus_chaos_restores_total", 1.0, {{"target", name}});

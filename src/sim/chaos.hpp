@@ -19,7 +19,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 #include "util/rng.hpp"
 
 namespace myrtus::sim {
@@ -33,8 +32,9 @@ struct ChaosEvent {
 
 class ChaosController {
  public:
-  /// `trace` may be null; events are then only kept in the local timeline.
-  ChaosController(Engine& engine, std::uint64_t seed, Trace* trace = nullptr);
+  /// Every transition lands in timeline(); with telemetry enabled it is also
+  /// counted in the metrics registry and stamped into the flight recorder.
+  ChaosController(Engine& engine, std::uint64_t seed);
   /// Scheduled fault events hold a shared liveness guard, not `this`: events
   /// still queued in the engine when the controller dies become inert no-ops
   /// instead of use-after-scope (the engine routinely outlives a scoped
@@ -97,7 +97,6 @@ class ChaosController {
   Engine& engine_;
   std::shared_ptr<LifetimeGuard> guard_;
   util::Rng rng_;
-  Trace* trace_;
   std::map<std::string, Target> targets_;
   std::vector<ChaosEvent> timeline_;
   std::size_t active_faults_ = 0;

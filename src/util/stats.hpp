@@ -1,38 +1,12 @@
-// Online statistics used by the monitoring/observability building block and
-// by the bench harness: running moments, reservoir-free percentile summaries
-// (P² would be overkill; we keep bounded samples), and fixed-bucket
-// histograms for latency distributions.
+// Sample statistics for the benches and experiment harnesses: reservoir-free
+// percentile summaries (P² would be overkill; we keep bounded samples).
+// Runtime counters and histograms live in telemetry::MetricsRegistry.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace myrtus::util {
-
-/// Welford running mean/variance with min/max tracking.
-class RunningStat {
- public:
-  void Add(double x);
-  void Merge(const RunningStat& other);
-  void Reset();
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Stores all samples (bounded use in benches/tests) and answers quantiles.
 class Samples {
@@ -51,21 +25,6 @@ class Samples {
  private:
   mutable std::vector<double> xs_;
   mutable bool sorted_ = false;
-};
-
-/// Log-scaled latency histogram (power-of-two buckets over nanoseconds or any
-/// unit the caller chooses).
-class Log2Histogram {
- public:
-  void Add(double x);
-  [[nodiscard]] std::uint64_t count() const { return total_; }
-  /// Rendered rows "[lo, hi): count" for reports.
-  [[nodiscard]] std::string ToString() const;
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-
- private:
-  std::vector<std::uint64_t> buckets_ = std::vector<std::uint64_t>(64, 0);
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace myrtus::util

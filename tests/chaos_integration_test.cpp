@@ -3,6 +3,8 @@
 // CallWithRetry providing the graceful degradation ISSUE acceptance demands.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "continuum/infrastructure.hpp"
 #include "kb/cluster.hpp"
 #include "net/transport.hpp"
@@ -119,7 +121,6 @@ TEST(ChaosIntegration, LinkFlappingFollowerDoesNotStallCommits) {
 // survivors, so placement success stays at 100% of desired once healed.
 TEST(ChaosIntegration, ReconcileReschedulesPodsOffChaosKilledNodes) {
   sim::Engine engine;
-  sim::Trace trace;
   continuum::Infrastructure infra =
       continuum::BuildInfrastructure(engine, {});
   sched::Cluster cluster(engine, sched::Scheduler::Default());
@@ -134,7 +135,7 @@ TEST(ChaosIntegration, ReconcileReschedulesPodsOffChaosKilledNodes) {
   ASSERT_EQ(cluster.DeploymentReadyReplicas("svc"), 6);
   cluster.StartReconcileLoop(SimTime::Millis(100));
 
-  sim::ChaosController chaos(engine, 7, &trace);
+  sim::ChaosController chaos(engine, 7);
   for (const char* id : {"edge-0", "edge-1", "fmdc-0"}) {
     continuum::ComputeNode* node = infra.FindNode(id);
     ASSERT_NE(node, nullptr) << id;
@@ -163,7 +164,12 @@ TEST(ChaosIntegration, ReconcileReschedulesPodsOffChaosKilledNodes) {
   EXPECT_EQ(cluster.DeploymentReadyReplicas("svc"), 6);
   EXPECT_EQ(chaos.injections(), 3u);
   EXPECT_EQ(chaos.restores(), 3u);
-  EXPECT_EQ(trace.CountOf("inject:edge-0"), 1u);
+  const auto edge0_injects =
+      std::count_if(chaos.timeline().begin(), chaos.timeline().end(),
+                    [](const sim::ChaosEvent& e) {
+                      return e.target == "edge-0" && e.injected;
+                    });
+  EXPECT_EQ(edge0_injects, 1);
   cluster.StopReconcileLoop();
 }
 

@@ -172,13 +172,6 @@ TEST(NameTables, StrategiesRolesPhasesLayers) {
   }
 }
 
-TEST(Trace, StatForUnknownIsEmpty) {
-  sim::Trace t;
-  EXPECT_EQ(t.StatFor("x", "y").count(), 0u);
-  t.Clear();
-  EXPECT_TRUE(t.records().empty());
-}
-
 TEST(Network, BytesAccountingIncludesProtocolOverhead) {
   sim::Engine engine;
   net::Topology topo;

@@ -1,7 +1,9 @@
 // Locks in the deterministic fork-join contract of util/parallel: any worker
-// count — inline serial (0/1) or pooled (2/8) — produces byte-identical
-// results, including bodies that consume randomness, and a full DPE + MAPE
-// world emits an identical sim::Trace whether its DSE ran serial or pooled.
+// count — inline serial (0/1) or pooled (2/4/8) — produces byte-identical
+// results, including bodies that consume randomness; exhaustive placement
+// and a FedAvg round match their serial runs; and a full DPE + MAPE world
+// records an identical telemetry span stream and metrics registry whether
+// its DSE ran serial or pooled.
 #include "util/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -10,11 +12,17 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dpe/pipeline.hpp"
+#include "fl/fedavg.hpp"
 #include "mirto/agent.hpp"
 #include "mirto/engine.hpp"
+#include "swarm/placement.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/telemetry.hpp"
 #include "usecases/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -27,7 +35,7 @@ template <typename Fn>
 void ExpectWorkerInvariant(Fn&& body) {
   SetParallelWorkers(1);
   const auto baseline = body();
-  for (const int workers : {2, 8}) {
+  for (const int workers : {2, 4, 8}) {
     SetParallelWorkers(workers);
     const auto got = body();
     EXPECT_EQ(got, baseline) << "diverged at " << workers << " workers";
@@ -121,12 +129,67 @@ TEST(ParallelPool, StatsCountRegionsAndItems) {
   EXPECT_GT(after.pooled_regions, before.pooled_regions);
 }
 
-// --- Full MAPE world: serial vs pooled traces --------------------------------
+// --- Pooled adopters: serial vs pooled results -------------------------------
+// Each adopter's own region must actually run on the pool, so the comparison
+// (and the TSan build running this suite) covers the pooled path.
+
+TEST(ParallelAdopters, ExhaustivePlacementIdenticalSerialVsPooled) {
+  // 4 nodes ^ 5 tasks = 1024 states: every one of the 64 shards has work.
+  swarm::PlacementProblem problem;
+  problem.tasks = {{1.0, 256, 0, false, 100.0},
+                   {2.0, 512, 0, true, 10.0},
+                   {0.5, 128, 1, false, 500.0},
+                   {1.5, 1024, 0, false, 50.0},
+                   {0.25, 64, 2, false, 250.0}};
+  problem.nodes = {{"edge-fpga", 4.0, 2048, 0, true, 900.0, 2.0},
+                   {"edge", 2.0, 1024, 1, false, 600.0, 3.0},
+                   {"fog", 8.0, 8192, 1, false, 400.0, 7.0},
+                   {"cloud", 64.0, 65536, 2, false, 150.0, 30.0}};
+  const std::uint64_t pooled_before = ParallelStats().pooled_regions;
+  ExpectWorkerInvariant([&] {
+    auto solution = swarm::SolveExhaustive(problem);
+    EXPECT_TRUE(solution.ok());
+    if (!solution.ok()) return std::make_tuple(std::vector<int>{}, 0.0, 0);
+    EXPECT_EQ(solution->evaluations, 1024);
+    return std::make_tuple(solution->assignment, solution->cost,
+                           solution->evaluations);
+  });
+  EXPECT_GT(ParallelStats().pooled_regions, pooled_before);
+}
+
+TEST(ParallelAdopters, FedAvgRoundIdenticalSerialVsPooled) {
+  // y = 2x0 - 3x1 + 1 + noise, dealt across six clients.
+  Rng rng(9);
+  fl::Dataset all;
+  for (int i = 0; i < 360; ++i) {
+    const double x0 = rng.Uniform(-1, 1);
+    const double x1 = rng.Uniform(-1, 1);
+    all.push_back({{x0, x1}, 2 * x0 - 3 * x1 + 1 + rng.NextGaussian() * 0.01});
+  }
+  const std::vector<fl::Dataset> clients = fl::NonIidSplit(all, 6, rng);
+  fl::FederatedConfig config;
+  config.rounds = 1;
+  const std::uint64_t pooled_before = ParallelStats().pooled_regions;
+  ExpectWorkerInvariant([&] {
+    fl::FederatedTrainer trainer(clients, 2, fl::LinearModel::Link::kIdentity,
+                                 42);
+    fl::FederatedMetrics metrics;
+    const fl::LinearModel global = trainer.Train(config, &metrics);
+    return std::make_pair(global.Parameters(), metrics.global_loss_per_round);
+  });
+  EXPECT_GT(ParallelStats().pooled_regions, pooled_before);
+}
+
+// --- Full MAPE world: serial vs pooled telemetry ------------------------------
 
 /// Deploys the telerehab scenario through a MIRTO agent, runs the periodic
-/// MAPE loop for a stretch of simulated time, and fingerprints everything
-/// observable: the network trace, metric aggregates, and scheduler state.
+/// MAPE loop for a stretch of simulated time with telemetry on, and
+/// fingerprints everything observable: every finished span (ids, parent,
+/// name, sim start/end, attributes), the metrics registry, and scheduler
+/// state.
 std::string RunMapeWorldFingerprint() {
+  telemetry::ResetGlobal();
+  telemetry::SetEnabled(true);
   sim::Engine engine;
   continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
   net::Topology topo = infra.topology;
@@ -158,15 +221,21 @@ std::string RunMapeWorldFingerprint() {
   engine.RunUntil(sim::SimTime::Seconds(8));
   EXPECT_TRUE(deployed);
 
+  const telemetry::Telemetry& tel = telemetry::Global();
+  EXPECT_EQ(tel.tracer.dropped_spans(), 0u) << "fingerprint would be partial";
   std::ostringstream fp;
-  fp.precision(17);
-  for (const sim::TraceRecord& r : network.trace().records()) {
-    fp << r.at.ns << '|' << r.component << '|' << r.event << '|' << r.value
-       << '\n';
+  for (const telemetry::SpanRecord& s : tel.tracer.finished()) {
+    fp << s.trace_id << '|' << s.span_id << '|' << s.parent_id << '|'
+       << s.name << '|' << s.category << '|' << s.start_ns << '|' << s.end_ns;
+    for (const auto& [key, value] : s.attrs) fp << '|' << key << '=' << value;
+    fp << '\n';
   }
+  fp << telemetry::PrometheusText(tel.metrics);
   fp << "pods=" << cluster.RunningPods() << '\n';
   fp << "events=" << engine.executed_events() << '\n';
   for (const std::string& app : agent.DeployedApps()) fp << app << '\n';
+  telemetry::SetEnabled(false);
+  telemetry::ResetGlobal();
   return fp.str();
 }
 

@@ -22,9 +22,8 @@ void RegisterCounting(ChaosController& chaos, const std::string& name,
 
 TEST(Chaos, ScriptedFaultInjectsAndRestoresOnSchedule) {
   Engine engine;
-  Trace trace;
   Counters c;  // declared before the controller: the hooks must die first
-  ChaosController chaos(engine, 1, &trace);
+  ChaosController chaos(engine, 1);
   RegisterCounting(chaos, "link-0", c);
 
   chaos.ScheduleFault("link-0", SimTime::Millis(100), SimTime::Millis(50));
@@ -39,11 +38,11 @@ TEST(Chaos, ScriptedFaultInjectsAndRestoresOnSchedule) {
 
   ASSERT_EQ(chaos.timeline().size(), 2u);
   EXPECT_EQ(chaos.timeline()[0].at, SimTime::Millis(100));
+  EXPECT_EQ(chaos.timeline()[0].target, "link-0");
   EXPECT_TRUE(chaos.timeline()[0].injected);
   EXPECT_EQ(chaos.timeline()[1].at, SimTime::Millis(150));
+  EXPECT_EQ(chaos.timeline()[1].target, "link-0");
   EXPECT_FALSE(chaos.timeline()[1].injected);
-  EXPECT_EQ(trace.CountOf("inject:link-0"), 1u);
-  EXPECT_EQ(trace.CountOf("restore:link-0"), 1u);
 }
 
 TEST(Chaos, PermanentFaultStaysUntilRestoreAll) {

@@ -5,8 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/trace.hpp"
-
 namespace myrtus::sim {
 namespace {
 
@@ -256,43 +254,6 @@ TEST(Engine, CancelledPeriodicsQueuedTickStillCountsAsExecuted) {
   EXPECT_EQ(e.executed_events(), 2u);
 }
 
-TEST(Trace, AggregatesAndSelects) {
-  Trace t;
-  t.Emit(SimTime::Millis(1), "edge-0", "latency_ms", 5.0);
-  t.Emit(SimTime::Millis(2), "edge-0", "latency_ms", 7.0);
-  t.Emit(SimTime::Millis(3), "fog-0", "latency_ms", 2.0);
-  EXPECT_EQ(t.StatFor("edge-0", "latency_ms").count(), 2u);
-  EXPECT_DOUBLE_EQ(t.StatFor("edge-0", "latency_ms").mean(), 6.0);
-  auto selected = t.Select("latency_ms");
-  ASSERT_TRUE(selected.ok());
-  EXPECT_EQ(selected->size(), 3u);
-  EXPECT_EQ(t.CountOf("latency_ms"), 3u);
-  EXPECT_EQ(t.CountOf("nonexistent"), 0u);
-}
-
-TEST(Trace, DropRecordsKeepsAggregates) {
-  Trace t;
-  t.Emit(SimTime::Zero(), "a", "x", 1.0);
-  t.DropRecords();
-  t.Emit(SimTime::Zero(), "a", "x", 3.0);
-  EXPECT_TRUE(t.records().empty());
-  EXPECT_EQ(t.StatFor("a", "x").count(), 2u);
-}
-
-TEST(Trace, SelectAfterDropRecordsFailsLoudly) {
-  Trace t;
-  t.Emit(SimTime::Zero(), "a", "x", 1.0);
-  ASSERT_TRUE(t.Select("x").ok());
-  t.DropRecords();
-  t.Emit(SimTime::Zero(), "a", "x", 3.0);
-  // Select would silently return only post-drop records; it must refuse.
-  const auto selected = t.Select("x");
-  ASSERT_FALSE(selected.ok());
-  EXPECT_EQ(selected.status().code(), util::StatusCode::kFailedPrecondition);
-  // Aggregates remain the sanctioned way to query after a drop.
-  EXPECT_EQ(t.CountOf("x"), 2u);
-}
-
 // Regression: a zero (or negative) period used to re-enqueue the task at the
 // same timestamp forever, hanging Run()/RunUntil(). It is now clamped to the
 // 1 ns tick, so the loop advances and terminates.
@@ -310,16 +271,6 @@ TEST(Engine, SchedulePeriodicClampsNonPositivePeriod) {
   e.SchedulePeriodic(SimTime::Nanos(-5), [&] { ++negative_fires; });
   e.RunUntil(e.Now() + SimTime::Nanos(3));
   EXPECT_EQ(negative_fires, 3);
-}
-
-TEST(Metrics, CountersAndGauges) {
-  Metrics m;
-  m.Inc("pods_scheduled");
-  m.Inc("pods_scheduled", 2);
-  m.Set("queue_depth", 17);
-  EXPECT_DOUBLE_EQ(m.Get("pods_scheduled"), 3.0);
-  EXPECT_DOUBLE_EQ(m.Get("queue_depth"), 17.0);
-  EXPECT_DOUBLE_EQ(m.Get("missing"), 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Telemetry layer: tracer causality, histogram quantiles, exporters, the
-// legacy sim::Metrics bridge, and end-to-end span trees across the simulated
-// continuum (pubsub hop, full contract-net negotiation).
+// scheduler's myrtus_sim_* series, and end-to-end span trees across the
+// simulated continuum (pubsub hop, full contract-net negotiation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +12,8 @@
 #include "mirto/engine.hpp"
 #include "net/pubsub.hpp"
 #include "net/transport.hpp"
+#include "sched/controller.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tosca/csar.hpp"
@@ -204,21 +204,73 @@ TEST_F(TelemetryTest, ChromeTraceJsonRoundtripsThroughParser) {
   EXPECT_EQ(complete->at("args").at("pod").as_string(), "pose-0");
 }
 
-TEST_F(TelemetryTest, LegacySimMetricsBridgeIntoRegistry) {
-  sim::Metrics legacy;
-  legacy.Inc("pods_scheduled");
-  legacy.Inc("pods_scheduled", 2);
-  legacy.Set("queue_depth", 7);
-  EXPECT_DOUBLE_EQ(legacy.Get("pods_scheduled"), 3.0);
-  auto& reg = Global().metrics;
-  EXPECT_DOUBLE_EQ(reg.Value("myrtus_sim_pods_scheduled"), 3.0);
-  EXPECT_DOUBLE_EQ(reg.Value("myrtus_sim_queue_depth"), 7.0);
+/// The cluster's own accounting after one scenario: pods bound, one pod
+/// too large for any node (left pending), a loaded edge node killed, then a
+/// reconcile that evicts and rebinds its pods.
+struct ClusterCounts {
+  double bound = 0.0;
+  double evicted = 0.0;
+  double running = 0.0;
+  double pending = 0.0;
+};
+
+ClusterCounts RunClusterNodeFailure() {
+  sim::Engine engine;
+  continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
+  ClusterCounts counts;
+  sched::Cluster cluster(engine, sched::Scheduler::Default());
+  for (auto& n : infra.nodes) cluster.AddNode(n.get());
+  // LINT: deferred-capture-ok(counts) -- declared before the cluster, so the
+  // listener dies first
+  cluster.AddPodEventListener({[&counts](const std::string&) { ++counts.bound; },
+                               nullptr});
+
+  sched::Deployment dep;
+  dep.name = "svc";
+  dep.pod_template.cpu_request = 0.25;
+  dep.pod_template.layer_affinity = "edge";
+  dep.replicas = 6;
+  cluster.ApplyDeployment(dep);
+  sched::PodSpec huge;
+  huge.name = "huge";
+  huge.cpu_request = 1e6;
+  EXPECT_FALSE(cluster.BindPod(huge).ok());
+  cluster.Reconcile();
+
+  const sched::PodView victim = cluster.FindPod("svc-0");
+  if (!victim || victim.node_id().empty()) {
+    ADD_FAILURE() << "svc-0 was not bound";
+    return counts;
+  }
+  infra.FindNode(victim.node_id())->SetUp(false);
+  cluster.Reconcile();
+
+  counts.evicted = static_cast<double>(cluster.evictions());
+  counts.running = static_cast<double>(cluster.RunningPods());
+  counts.pending = static_cast<double>(cluster.PendingPods());
+  return counts;
+}
+
+TEST_F(TelemetryTest, ClusterCountersPublishAsSimSeries) {
+  const ClusterCounts counts = RunClusterNodeFailure();
+  EXPECT_GT(counts.evicted, 0.0);
+  EXPECT_GT(counts.pending, 0.0);
+  const MetricsRegistry& reg = Global().metrics;
+  EXPECT_DOUBLE_EQ(reg.Value("myrtus_sim_pods_bound"), counts.bound);
+  EXPECT_DOUBLE_EQ(reg.Value("myrtus_sim_pods_evicted_node_failure"),
+                   counts.evicted);
+  EXPECT_DOUBLE_EQ(reg.Value("myrtus_sim_running_pods"), counts.running);
+  EXPECT_DOUBLE_EQ(reg.Value("myrtus_sim_pending_pods"), counts.pending);
+
+  ResetGlobal();
+  SetEnabled(false);
+  const ClusterCounts quiet = RunClusterNodeFailure();
+  EXPECT_DOUBLE_EQ(quiet.bound, counts.bound);
+  EXPECT_TRUE(Global().metrics.families().empty());
 }
 
 TEST_F(TelemetryTest, DisabledPathRecordsNothing) {
   SetEnabled(false);
-  sim::Metrics legacy;
-  legacy.Inc("quiet");
   {
     ScopedSpan span("ghost", "test");
     span.SetAttribute("k", "v");

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -79,52 +80,44 @@ TEST(Rng, DoubleInUnitInterval) {
   }
 }
 
+/// Sample mean and (n-1) standard deviation, computed two-pass.
+struct Moments {
+  double mean = 0.0;
+  double stddev = 0.0;
+};
+Moments MomentsOf(const std::vector<double>& xs) {
+  Moments m;
+  for (const double x : xs) m.mean += x;
+  m.mean /= static_cast<double>(xs.size());
+  double m2 = 0.0;
+  for (const double x : xs) m2 += (x - m.mean) * (x - m.mean);
+  m.stddev = std::sqrt(m2 / static_cast<double>(xs.size() - 1));
+  return m;
+}
+
 TEST(Rng, GaussianMoments) {
   Rng r(42);
-  RunningStat s;
-  for (int i = 0; i < 200000; ++i) s.Add(r.NextGaussian());
-  EXPECT_NEAR(s.mean(), 0.0, 0.02);
-  EXPECT_NEAR(s.stddev(), 1.0, 0.02);
+  std::vector<double> xs;
+  for (int i = 0; i < 200000; ++i) xs.push_back(r.NextGaussian());
+  const Moments m = MomentsOf(xs);
+  EXPECT_NEAR(m.mean, 0.0, 0.02);
+  EXPECT_NEAR(m.stddev, 1.0, 0.02);
 }
 
 TEST(Rng, ExponentialMean) {
   Rng r(43);
-  RunningStat s;
+  Samples s;
   for (int i = 0; i < 100000; ++i) s.Add(r.NextExponential(4.0));
   EXPECT_NEAR(s.mean(), 0.25, 0.01);
 }
 
 TEST(Rng, PoissonMeanSmallAndLarge) {
   Rng r(44);
-  RunningStat small, large;
+  Samples small, large;
   for (int i = 0; i < 50000; ++i) small.Add(static_cast<double>(r.NextPoisson(3.0)));
   for (int i = 0; i < 50000; ++i) large.Add(static_cast<double>(r.NextPoisson(120.0)));
   EXPECT_NEAR(small.mean(), 3.0, 0.1);
   EXPECT_NEAR(large.mean(), 120.0, 1.0);
-}
-
-TEST(RunningStat, MomentsMatchKnownValues) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStat, MergeEqualsSingleStream) {
-  Rng r(5);
-  RunningStat all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = r.NextGaussian();
-    all.Add(x);
-    (i % 2 == 0 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
 }
 
 TEST(Samples, Quantiles) {
@@ -140,19 +133,6 @@ TEST(Samples, EmptyIsZero) {
   Samples s;
   EXPECT_EQ(s.p50(), 0.0);
   EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(Log2Histogram, BucketsByPowerOfTwo) {
-  Log2Histogram h;
-  h.Add(0.5);   // bucket 0: [0,1)
-  h.Add(1.0);   // bucket 1: [1,2)
-  h.Add(3.0);   // bucket 2: [2,4)
-  h.Add(1000);  // [512,1024)
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[1], 1u);
-  EXPECT_EQ(h.buckets()[2], 1u);
-  EXPECT_EQ(h.buckets()[10], 1u);
 }
 
 TEST(Fnv1a64, StableAndDistinct) {
