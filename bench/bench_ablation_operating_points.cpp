@@ -32,13 +32,13 @@ Outcome RunLoad(Policy policy, double load_fraction, std::uint64_t seed) {
   continuum::ComputeNode node(engine, "edge", continuum::Layer::kEdge,
                               "multicore", security::SecurityLevel::kLow, 2048);
   node.AddDevice(continuum::MakeBigCore("edge/big"));
-  continuum::Device& device = node.mutable_device(0);
   switch (policy) {
-    case Policy::kFastest: util::MustOk(device.SetOperatingPoint(0)); break;
+    case Policy::kFastest: util::MustOk(node.SetOperatingPoint(0, 0)); break;
     case Policy::kEco:
-      util::MustOk(device.SetOperatingPoint(device.operating_points().size() - 1));
+      util::MustOk(node.SetOperatingPoint(
+          0, node.devices()[0].operating_points().size() - 1));
       break;
-    case Policy::kAdaptive: util::MustOk(device.SetOperatingPoint(1)); break;
+    case Policy::kAdaptive: util::MustOk(node.SetOperatingPoint(0, 1)); break;
   }
   mirto::NodeManager manager(0.7, 0.3);
   if (policy == Policy::kAdaptive) {

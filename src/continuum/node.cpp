@@ -30,16 +30,29 @@ void ComputeNode::AddDevice(Device device) {
   busy_until_.push_back(engine_.Now());
   busy_accum_.push_back(sim::SimTime::Zero());
   queue_depth_.push_back(0);
+  RefreshCpuCapacity();
   MarkChanged();
 }
 
-double ComputeNode::CpuCapacity() const {
+util::Status ComputeNode::SetOperatingPoint(std::size_t device,
+                                            std::size_t point) {
+  if (device >= devices_.size()) {
+    return util::Status::InvalidArgument(id_ + ": no device " +
+                                         std::to_string(device));
+  }
+  MYRTUS_RETURN_IF_ERROR(devices_[device].SetOperatingPoint(point));
+  RefreshCpuCapacity();
+  MarkChanged();
+  return util::Status::Ok();
+}
+
+void ComputeNode::RefreshCpuCapacity() {
   double total = 0.0;
   for (const Device& d : devices_) {
     total += static_cast<double>(d.parallel_units()) *
              d.active_point().speedup * d.active_point().clock_ghz;
   }
-  return total;
+  cpu_capacity_ = total;
 }
 
 util::Status ComputeNode::ReserveMemory(std::uint64_t mb) {

@@ -45,15 +45,14 @@ class ComputeNode {
   [[nodiscard]] std::uint64_t mem_capacity_mb() const { return mem_capacity_mb_; }
   [[nodiscard]] std::uint64_t mem_allocated_mb() const { return mem_allocated_mb_; }
   [[nodiscard]] const std::vector<Device>& devices() const { return devices_; }
-  /// Mutable device access bumps the change epoch: callers take it to change
-  /// operating points (capacity / power), which observers must re-sample.
-  Device& mutable_device(std::size_t i) {
-    MarkChanged();
-    return devices_[i];
-  }
+  /// Switches device `device`'s operating point (capacity / power). On
+  /// success it refreshes the cached CpuCapacity() and bumps the change
+  /// epoch, so observers re-sample the node.
+  util::Status SetOperatingPoint(std::size_t device, std::size_t point);
 
   /// Total abstract CPU capacity: sum over devices of units * speedup * GHz.
-  [[nodiscard]] double CpuCapacity() const;
+  /// Cached: it changes only through AddDevice and SetOperatingPoint.
+  [[nodiscard]] double CpuCapacity() const { return cpu_capacity_; }
 
   /// Memory reservation used by the scheduler's bind step.
   util::Status ReserveMemory(std::uint64_t mb);
@@ -81,8 +80,9 @@ class ComputeNode {
   /// --- Change-epoch observation ----------------------------------------
   /// Monotonic counter bumped on every observable mutation: up/down flips,
   /// memory allocation, task submission/completion (queue depth, busy time,
-  /// energy), device changes. Observers (MAPE Monitor) compare epochs to
-  /// skip unchanged nodes instead of re-sampling the whole fleet.
+  /// energy), device registration and operating-point changes. Observers
+  /// (MAPE Monitor) compare epochs to skip unchanged nodes instead of
+  /// re-sampling the whole fleet.
   [[nodiscard]] std::uint64_t change_epoch() const { return change_epoch_; }
   /// Single listener, fanned out by continuum::ChangeTracker. `energy_delta`
   /// is nonzero only for task-completion energy accrual, letting the tracker
@@ -116,6 +116,8 @@ class ComputeNode {
   [[nodiscard]] double IdleEnergyMj(sim::SimTime now) const;
 
  private:
+  void RefreshCpuCapacity();
+
   sim::Engine& engine_;
   std::string id_;
   Layer layer_;
@@ -126,6 +128,7 @@ class ComputeNode {
   bool up_ = true;
 
   std::vector<Device> devices_;
+  double cpu_capacity_ = 0.0;  // CpuCapacity(), recomputed on device changes
   std::vector<sim::SimTime> busy_until_;   // per device
   std::vector<sim::SimTime> busy_accum_;   // per device total busy time
   std::vector<std::size_t> queue_depth_;   // per device outstanding tasks

@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kb/store.hpp"
@@ -39,6 +41,14 @@ struct NodeRecord {
   static util::StatusOr<NodeRecord> FromJson(const util::Json& j);
 };
 
+/// One trust score for ResourceRegistry::PutTrusts. `written` reports
+/// whether it landed.
+struct TrustWrite {
+  std::string_view node_id;
+  double trust_score = 1.0;
+  bool written = false;
+};
+
 /// Telemetry sample appended by monitors.
 struct TelemetrySample {
   std::int64_t at_ns = 0;
@@ -58,12 +68,20 @@ class ResourceRegistry {
 
   /// Upserts a node record. An existing key keeps its lease (etcd's
   /// ignore_lease): a status write must not detach a heartbeat registration.
-  void PutNode(const NodeRecord& record);
+  /// Node writes leave watch `skip_watch` (0 = none) out of their commits,
+  /// for a writer that watches the node records itself.
+  void PutNode(const NodeRecord& record, std::int64_t skip_watch = 0);
   /// Sets one registered node's trust_score in place, keeping its lease. A
   /// record not in NodeRecord::ToJson's shape is normalized first, so the
   /// stored bytes equal a GetNode → PutNode round trip. False (nothing
   /// written) when the node has no parseable record.
-  bool PutTrust(const std::string& node_id, double trust_score);
+  bool PutTrust(const std::string& node_id, double trust_score,
+                std::int64_t skip_watch = 0);
+  /// PutTrust for each of `writes`, whose node ids must ascend, in that
+  /// order and with the same effects, in one forward walk of the node
+  /// records. A record this registry last wrote itself is known to be in
+  /// canonical shape and skips the check.
+  void PutTrusts(std::span<TrustWrite> writes, std::int64_t skip_watch = 0);
   [[nodiscard]] util::StatusOr<NodeRecord> GetNode(const std::string& node_id) const;
   /// All registered nodes (optionally restricted to one layer).
   [[nodiscard]] std::vector<NodeRecord> ListNodes(const std::string& layer = "") const;
@@ -95,7 +113,25 @@ class ResourceRegistry {
       const std::string& scope, const std::string& name) const;
 
  private:
+  /// Revisions at which this registry wrote a node record in
+  /// NodeRecord::ToJson's shape. A record whose mod_revision is one of them
+  /// still holds that write. Only the latest kWindow revisions are kept
+  /// (8 KiB); an older one reads as unknown, which costs one shape check.
+  class CanonicalRevisions {
+   public:
+    void Insert(std::int64_t revision);
+    [[nodiscard]] bool Contains(std::int64_t revision) const;
+
+   private:
+    static constexpr std::int64_t kWindow = std::int64_t{1} << 16;
+    void Assign(std::int64_t revision, bool canonical);
+    std::vector<std::uint64_t> bits_ =
+        std::vector<std::uint64_t>(kWindow / 64, 0);
+    std::int64_t newest_ = 0;
+  };
+
   Store& store_;
+  CanonicalRevisions canonical_;
 };
 
 }  // namespace myrtus::kb

@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -35,11 +36,15 @@ struct WatchEvent {
 };
 
 /// In-memory MVCC store. Single-writer (the Raft apply loop), many readers.
+///
+/// A mutation's `skip_watch` names one watch (0 = none) that this commit does
+/// not notify: a writer that also watches the keys it writes leaves its own
+/// watch out of its own commits, and only those.
 class Store {
  public:
   /// Puts a value; returns the new store revision.
   std::int64_t Put(const std::string& key, util::Json value,
-                   std::int64_t lease_id = 0);
+                   std::int64_t lease_id = 0, std::int64_t skip_watch = 0);
   /// Edits a key's value in place: `fn(util::Json&)` returns false to
   /// decline, and must leave the value untouched when it does. An accepted
   /// edit has Put's MVCC effects (revision, mod_revision and version bump,
@@ -47,11 +52,42 @@ class Store {
   /// etcd's ignore_lease. Returns the new store revision, or nullopt — no
   /// revision bump, no event — when the key is absent or `fn` declines.
   template <typename Fn>
-  std::optional<std::int64_t> Update(const std::string& key, Fn&& fn) {
+  std::optional<std::int64_t> Update(const std::string& key, Fn&& fn,
+                                     std::int64_t skip_watch = 0) {
     const auto it = data_.find(key);
     if (it == data_.end() || !fn(it->second.value)) return std::nullopt;
-    return Commit(it->second);
+    return Commit(it->second, skip_watch);
   }
+
+  /// Forward cursor over the keys under one prefix, for in-place edits of
+  /// many of them in one walk instead of one search from the root per key
+  /// (a target more than a few keys ahead is still searched from the root).
+  /// A watcher that inserts or erases keys while an edit commits makes the
+  /// next Seek() search afresh, so the cursor never steps an iterator that
+  /// the erase invalidated.
+  class PrefixCursor {
+   public:
+    PrefixCursor(Store& store, std::string prefix);
+    /// Moves to the key `prefix + suffix` and returns its entry, or nullptr
+    /// when it is absent. Suffixes must ascend from one Seek() to the next.
+    const KeyValue* Seek(std::string_view suffix);
+    /// Store::Update() on the key the last Seek() found; nullopt when that
+    /// Seek() found nothing or this key was already edited.
+    template <typename Fn>
+    std::optional<std::int64_t> Update(Fn&& fn, std::int64_t skip_watch = 0) {
+      if (!found_ || !fn(it_->second.value)) return std::nullopt;
+      found_ = false;  // the commit's watchers may erase the entry
+      return store_.Commit(it_->second, skip_watch);
+    }
+
+   private:
+    Store& store_;
+    std::string prefix_;
+    std::string key_;  // re-seek key buffer, reused across seeks
+    std::map<std::string, KeyValue>::iterator it_;
+    std::uint64_t layout_epoch_;
+    bool found_ = false;
+  };
   /// Deletes a key; returns the new revision, or nullopt if absent.
   std::optional<std::int64_t> Delete(const std::string& key);
   /// Point read.
@@ -88,13 +124,16 @@ class Store {
 
  private:
   /// Stamps a just-written `kv` with the next revision and fires its kPut.
-  std::int64_t Commit(KeyValue& kv);
-  /// Delivers an event to the watchers whose prefix matches `kv.key`. The
-  /// event is built only when one matches.
-  void Notify(WatchEvent::Type type, const KeyValue& kv);
+  std::int64_t Commit(KeyValue& kv, std::int64_t skip_watch);
+  /// Delivers an event to the watchers, other than `skip_watch`, whose prefix
+  /// matches `kv.key`. The event is built only when one matches.
+  void Notify(WatchEvent::Type type, const KeyValue& kv,
+              std::int64_t skip_watch = 0);
 
   std::map<std::string, KeyValue> data_;
   std::int64_t revision_ = 0;
+  // Bumped whenever a key is inserted into or erased from data_.
+  std::uint64_t layout_epoch_ = 0;
 
   struct Watcher {
     std::int64_t id;

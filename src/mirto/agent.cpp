@@ -67,16 +67,14 @@ MirtoAgent::MirtoAgent(net::Network& network, sched::Cluster& cluster,
   // vanishing from the registry (e.g. heartbeat-lease expiry) marks the
   // fleet dirty for the next MAPE Analyze pass, and any external write under
   // /registry/nodes/ is mirrored into the change-tracker dirty set so the
-  // next Monitor re-observes that node. The agent's own registry
-  // writes are suppressed via self_registry_write_ (Store::Notify fires
-  // synchronously inside Put/Delete).
+  // next Monitor re-observes that node. The agent's own node writes pass
+  // this watch's id as their commits' skip_watch, so it never sees them.
+  const std::string prefix = kb::ResourceRegistry::NodeKey("");
   registry_watch_ = kb_.Watch(
-      kb::ResourceRegistry::NodeKey(""), [this](const kb::WatchEvent& event) {
+      prefix, [this, prefix](const kb::WatchEvent& event) {
         if (event.type == kb::WatchEvent::Type::kDelete) {
           failure_signal_ = true;
         }
-        if (self_registry_write_) return;
-        const std::string prefix = kb::ResourceRegistry::NodeKey("");
         if (event.kv.key.size() <= prefix.size()) return;
         infra_.change_tracker().MarkDirtyById(
             infra_.nodes, event.kv.key.substr(prefix.size()),
@@ -308,9 +306,7 @@ void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
     record.has_accelerator = state->HasAccelerator();
   }
   record.energy_mj = node.total_energy_mj();
-  self_registry_write_ = true;
-  registry_.PutNode(record);
-  self_registry_write_ = false;
+  registry_.PutNode(record, registry_watch_);
   if (!node.devices().empty()) {
     registry_.AppendTelemetry(node.id(), "utilization",
                               {now_ns, node.Utilization(0)});
@@ -539,9 +535,7 @@ void MirtoAgent::Execute() {
     cluster_.Reconcile();
     stats_.reallocations += cluster_.reschedules() - before;
   }
-  self_registry_write_ = true;
-  psm_.PublishTrust(registry_);
-  self_registry_write_ = false;
+  psm_.PublishTrust(registry_, registry_watch_);
 }
 
 }  // namespace myrtus::mirto

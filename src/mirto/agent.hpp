@@ -175,6 +175,8 @@ class MirtoAgent {
   // Set asynchronously by the KB watch when a component record disappears
   // (lease expiry / explicit removal); consumed by the next Analyze pass.
   bool failure_signal_ = false;
+  // The agent's /registry/nodes/ watch. Its own node writes leave it out of
+  // their commits, so it mirrors only other writers into the dirty set.
   std::int64_t registry_watch_ = 0;
   std::vector<NodeManager::Decision> planned_points_;
   std::map<std::string, std::vector<std::string>> app_pods_;  // app -> pods
@@ -182,9 +184,6 @@ class MirtoAgent {
 
   /// --- Incremental observation state -------------------------------------
   int tracker_listener_;  // ChangeTracker listener, registered at construction
-  // True while the agent itself writes /registry/nodes/ records, so the KB
-  // watch does not mirror its own writes back into the dirty set.
-  bool self_registry_write_ = false;
   std::vector<std::size_t> iter_dirty_;   // drained once per iteration
   std::vector<std::uint8_t> observed_up_;  // last observed up/down per index
   std::size_t observed_up_count_ = 0;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -122,6 +121,9 @@ class NetworkManager {
 class PrivacySecurityManager {
  public:
   explicit PrivacySecurityManager(double veto_threshold = 0.4);
+  // The pending queue points into the trust map.
+  PrivacySecurityManager(const PrivacySecurityManager&) = delete;
+  PrivacySecurityManager& operator=(const PrivacySecurityManager&) = delete;
 
   /// Records an outcome on a node; failures decay trust, successes recover
   /// it. Returns whether the node's trust changed.
@@ -134,14 +136,23 @@ class PrivacySecurityManager {
   [[nodiscard]] bool Permits(const sched::PodSpec& pod,
                              const continuum::ComputeNode& node) const;
   /// Publishes trust scores into the registry — dirty-driven: only nodes
-  /// whose trust actually changed since the last publish are rewritten.
-  /// Nodes without a registry record yet stay queued for the next call.
-  void PublishTrust(kb::ResourceRegistry& registry);
+  /// whose trust actually changed since the last publish are rewritten, in
+  /// node-id order, as one batch. Nodes without a registry record yet stay
+  /// queued for the next call. `skip_watch` is the caller's own registry
+  /// watch, left out of these writes' notifications (0 = none).
+  void PublishTrust(kb::ResourceRegistry& registry,
+                    std::int64_t skip_watch = 0);
 
  private:
+  struct TrustEntry {
+    double trust = 1.0;
+    bool pending = false;  // changed since the last publish
+  };
+  using TrustMap = std::map<std::string, TrustEntry>;
   double veto_threshold_;
-  std::map<std::string, double> trust_;  // default 1.0
-  std::set<std::string> pending_publish_;  // trust changed since last publish
+  TrustMap trust_;  // absent = 1.0
+  // The entries with `pending` set, in no particular order between publishes.
+  std::vector<TrustMap::iterator> pending_;
 };
 
 }  // namespace myrtus::mirto

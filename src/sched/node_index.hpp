@@ -77,7 +77,8 @@ class NodeState {
  public:
   continuum::ComputeNode* node = nullptr;
 
-  /// Capacity is read live: device operating points may change at runtime.
+  /// Capacity is read from the node, which caches it and refreshes the cache
+  /// whenever an operating point changes at runtime.
   [[nodiscard]] double cpu_capacity() const { return node->CpuCapacity(); }
   [[nodiscard]] std::uint64_t mem_capacity_mb() const;
   [[nodiscard]] double cpu_allocated() const;
@@ -164,8 +165,8 @@ class NodeIndex {
   std::unordered_map<std::string, std::uint32_t> id_to_slot_;
 
   // SoA hot columns, indexed by slot. Memory capacity is immutable on
-  // ComputeNode, so it is cached here; cpu capacity is not (operating
-  // points).
+  // ComputeNode, so it is cached here; cpu capacity changes with operating
+  // points, so the node caches it instead.
   std::vector<double> cpu_allocated_;
   std::vector<std::uint64_t> mem_allocated_mb_;
   std::vector<std::uint64_t> mem_capacity_mb_;

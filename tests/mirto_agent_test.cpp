@@ -550,6 +550,53 @@ TEST(MapeOracle, ReportsANodeThatChangedBehindItsBack) {
   EXPECT_NE(w.reference->ExpectedSnapshot(), w.reference->AgentSnapshot());
 }
 
+// Regression: a guard flag used to hide every /registry/nodes/ event from
+// the agent's watch while the agent wrote its own records, including a put
+// that another watcher made re-entrantly inside that write. The patched node
+// was never marked dirty, so the agent kept a record it had not observed and
+// diverged from the full walk. Only the agent's own commits skip its watch.
+TEST(MirtoAgent, ReentrantExternalRegistryWriteIsReobserved) {
+  OracleWorld w;
+  // Settle: the first passes observe the fleet and park idle devices.
+  for (int i = 0; i < 3; ++i) {
+    w.engine.RunUntil(w.engine.Now() + SimTime::Millis(250));
+    ASSERT_TRUE(w.CheckedIteration().empty());
+  }
+  continuum::ComputeNode& a = *w.infra.nodes[0];
+  continuum::ComputeNode& b = *w.infra.nodes[1];
+  const std::string a_key = kb::ResourceRegistry::NodeKey(a.id());
+  const std::string b_key = kb::ResourceRegistry::NodeKey(b.id());
+  bool patched = false;
+  // LINT: deferred-capture-ok(default) -- the watch fires only inside the
+  // iterations below; the world and the flag outlive them in this frame
+  w.store.Watch(kb::ResourceRegistry::NodeKey(""),
+                [&](const kb::WatchEvent& e) {
+                  if (patched || e.kv.key != a_key) return;
+                  patched = true;
+                  util::Json forged = w.store.Get(b_key)->value;
+                  forged.Set("cpu_allocated", 99.0);
+                  w.store.Put(b_key, std::move(forged));
+                });
+  a.MarkChanged();  // A is the only dirty node
+  w.engine.RunUntil(w.engine.Now() + SimTime::Millis(250));
+  const std::uint64_t observed = w.agent->stats().nodes_observed;
+  w.reference->Expect();
+  w.agent->RunMapeIteration();  // the agent's PutNode(A) triggers the patch
+  ASSERT_TRUE(patched);
+  ASSERT_EQ(w.agent->stats().nodes_observed, observed + 1);
+  ASSERT_DOUBLE_EQ(w.agent->registry().GetNode(b.id())->cpu_allocated, 99.0);
+  for (const oracle::Divergence& d : w.reference->Compare()) {
+    ASSERT_EQ(d.node_id, b.id()) << "only the patched record differs";
+  }
+
+  w.engine.RunUntil(w.engine.Now() + SimTime::Millis(250));
+  const std::vector<oracle::Divergence> divergences = w.CheckedIteration();
+  EXPECT_TRUE(divergences.empty()) << oracle::FormatDivergences(divergences);
+  EXPECT_EQ(w.agent->stats().nodes_observed, observed + 2)
+      << "B alone is re-observed on the next Monitor";
+  EXPECT_NE(w.agent->registry().GetNode(b.id())->cpu_allocated, 99.0);
+}
+
 TEST(MirtoAgent, SteadyStateSkipsSloRepublish) {
   AgentFixture f;
   f.engine.RunUntil(SimTime::Seconds(2));

@@ -111,7 +111,7 @@ TEST(OpPredictor, LearnedManagerFollowsModelWhenTrained) {
   continuum::ComputeNode node(engine, "n", continuum::Layer::kEdge, "multicore",
                               security::SecurityLevel::kLow, 512);
   node.AddDevice(continuum::MakeBigCore("n/big"));
-  ASSERT_TRUE(node.mutable_device(0).SetOperatingPoint(2).ok());
+  ASSERT_TRUE(node.SetOperatingPoint(0, 2).ok());
   engine.RunUntil(sim::SimTime::Seconds(1));  // idle: util ~ 0
 
   // Train a model that says "fast needed whenever slack is tiny".
