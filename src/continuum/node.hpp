@@ -119,16 +119,17 @@ class ComputeNode {
   void RefreshCpuCapacity();
 
   sim::Engine& engine_;
+  // Read for every scheduling candidate; kept together on the first line.
+  double cpu_capacity_ = 0.0;  // CpuCapacity(), recomputed on device changes
+  bool up_ = true;
   std::string id_;
   Layer layer_;
   std::string kind_;
   security::SecurityLevel level_;
   std::uint64_t mem_capacity_mb_;
   std::uint64_t mem_allocated_mb_ = 0;
-  bool up_ = true;
 
   std::vector<Device> devices_;
-  double cpu_capacity_ = 0.0;  // CpuCapacity(), recomputed on device changes
   std::vector<sim::SimTime> busy_until_;   // per device
   std::vector<sim::SimTime> busy_accum_;   // per device total busy time
   std::vector<std::size_t> queue_depth_;   // per device outstanding tasks

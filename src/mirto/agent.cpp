@@ -300,10 +300,11 @@ void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
   record.mem_capacity_mb = node.mem_capacity_mb();
   record.mem_allocated_mb = node.mem_allocated_mb();
   record.security_level = static_cast<int>(node.security_level());
-  record.trust_score = psm_.TrustOf(node.id());
+  record.trust_score = psm_.TrustOf(trust_slots_[index]);
   if (const sched::NodeState* state = cluster_.FindNodeState(node.id())) {
     record.cpu_allocated = state->cpu_allocated();
     record.has_accelerator = state->HasAccelerator();
+    cluster_slots_[index] = static_cast<std::int32_t>(state->slot());
   }
   record.energy_mj = node.total_energy_mj();
   registry_.PutNode(record, registry_watch_);
@@ -325,7 +326,7 @@ void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
   }
   if (up) {
     down_nodes_.erase(index);
-    if (psm_.TrustOf(node.id()) < 1.0) healing_nodes_.insert(index);
+    if (psm_.TrustOf(trust_slots_[index]) < 1.0) healing_nodes_.insert(index);
   } else {
     down_nodes_.insert(index);
     healing_nodes_.erase(index);
@@ -339,6 +340,10 @@ void MirtoAgent::Monitor() {
   infra_.change_tracker().Drain(infra_.nodes, tracker_listener_, iter_dirty_);
   const std::size_t fleet = infra_.nodes.size();
   if (observed_up_.size() < fleet) observed_up_.resize(fleet, 0);
+  for (std::size_t i = trust_slots_.size(); i < fleet; ++i) {
+    trust_slots_.push_back(psm_.Slot(infra_.nodes[i]->id()));
+  }
+  if (cluster_slots_.size() < fleet) cluster_slots_.resize(fleet, -1);
   for (const std::size_t index : iter_dirty_) ObserveNode(index, now_ns);
   // Every node has been observed at least once (a fresh listener starts
   // all-dirty), so the cached up-count covers the whole fleet and one bulk
@@ -393,15 +398,13 @@ void MirtoAgent::Analyze() {
   // leaves the set on its first no-op success, and skipping the rest of the
   // fleet leaves every TrustOf() value identical to a full walk.
   for (const std::size_t index : down_nodes_) {
-    const continuum::ComputeNode& node = *infra_.nodes[index];
-    psm_.RecordOutcome(node.id(), false);
-    if (!cluster_.PodsOnNode(node.id()).empty()) {
+    psm_.RecordOutcome(trust_slots_[index], false);
+    if (cluster_.NodeHasPods(cluster_slots_[index])) {
       reallocation_needed_ = true;
     }
   }
   for (auto it = healing_nodes_.begin(); it != healing_nodes_.end();) {
-    const continuum::ComputeNode& node = *infra_.nodes[*it];
-    if (psm_.RecordOutcome(node.id(), true)) {
+    if (psm_.RecordOutcome(trust_slots_[*it], true)) {
       ++it;
     } else {
       it = healing_nodes_.erase(it);

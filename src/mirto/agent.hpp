@@ -186,6 +186,11 @@ class MirtoAgent {
   int tracker_listener_;  // ChangeTracker listener, registered at construction
   std::vector<std::size_t> iter_dirty_;   // drained once per iteration
   std::vector<std::uint8_t> observed_up_;  // last observed up/down per index
+  // Per index: the node's trust slot, and its NodeIndex slot in cluster_
+  // (-1 until an observation finds it there). A node can gain pods only
+  // while up, and coming up marks it dirty, so a down node's slot is current.
+  std::vector<TrustSlot> trust_slots_;
+  std::vector<std::int32_t> cluster_slots_;
   std::size_t observed_up_count_ = 0;
   // Analyze attention sets: nodes currently observed down (record a failure
   // outcome each iteration) and up nodes whose trust is still recovering

@@ -190,35 +190,40 @@ util::StatusOr<std::string> NetworkManager::NearestNode(
 PrivacySecurityManager::PrivacySecurityManager(double veto_threshold)
     : veto_threshold_(veto_threshold) {}
 
-bool PrivacySecurityManager::RecordOutcome(const std::string& node_id,
-                                           bool success) {
-  const TrustMap::iterator it = trust_.try_emplace(node_id).first;
-  double& trust = it->second.trust;
+TrustSlot PrivacySecurityManager::Slot(const std::string& node_id) {
+  const auto [it, inserted] = slot_of_.try_emplace(
+      node_id, static_cast<TrustSlot>(entries_.size()));
+  if (inserted) entries_.push_back(TrustEntry{node_id});
+  return it->second;
+}
+
+bool PrivacySecurityManager::RecordOutcome(TrustSlot slot, bool success) {
+  TrustEntry& entry = entries_[slot];
   // Exponential update: failures bite harder than successes heal. Recovery
   // need not reach 1.0: in double, min(1, 0.95t + 0.05) from 0.7^k stalls
   // just below it (0.999999999999999) where 0.95t + 0.05 rounds back to t.
   // Either way it ends at a fixed point, after which every success is a
   // no-op and returns false.
   const double updated =
-      success ? std::min(1.0, trust * 0.95 + 0.05) : trust * 0.7;
-  if (updated == trust) return false;
-  trust = updated;
-  if (!it->second.pending) {
-    it->second.pending = true;
-    pending_.push_back(it);
+      success ? std::min(1.0, entry.trust * 0.95 + 0.05) : entry.trust * 0.7;
+  if (updated == entry.trust) return false;
+  entry.trust = updated;
+  if (!entry.pending) {
+    entry.pending = true;
+    pending_.push_back(slot);
   }
   return true;
 }
 
 double PrivacySecurityManager::TrustOf(const std::string& node_id) const {
-  const auto it = trust_.find(node_id);
-  return it == trust_.end() ? 1.0 : it->second.trust;
+  const auto it = slot_of_.find(node_id);
+  return it == slot_of_.end() ? 1.0 : TrustOf(it->second);
 }
 
 std::vector<std::string> PrivacySecurityManager::VetoedNodes() const {
   std::vector<std::string> out;
-  for (const auto& [node, entry] : trust_) {
-    if (entry.trust < veto_threshold_) out.push_back(node);
+  for (const auto& [node, slot] : slot_of_) {
+    if (entries_[slot].trust < veto_threshold_) out.push_back(node);
   }
   return out;
 }
@@ -233,13 +238,13 @@ void PrivacySecurityManager::PublishTrust(kb::ResourceRegistry& registry,
                                           std::int64_t skip_watch) {
   if (pending_.empty()) return;
   std::sort(pending_.begin(), pending_.end(),
-            [](TrustMap::iterator a, TrustMap::iterator b) {
-              return a->first < b->first;
+            [this](TrustSlot a, TrustSlot b) {
+              return entries_[a].node_id < entries_[b].node_id;
             });
   std::vector<kb::TrustWrite> batch;
   batch.reserve(pending_.size());
-  for (const TrustMap::iterator it : pending_) {
-    batch.push_back({it->first, it->second.trust});
+  for (const TrustSlot slot : pending_) {
+    batch.push_back({entries_[slot].node_id, entries_[slot].trust});
   }
   registry.PutTrusts(batch, skip_watch);
   // A node not written has no record yet (e.g. trust recorded before the
@@ -247,7 +252,7 @@ void PrivacySecurityManager::PublishTrust(kb::ResourceRegistry& registry,
   std::size_t kept = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].written) {
-      pending_[i]->second.pending = false;
+      entries_[pending_[i]].pending = false;
     } else {
       pending_[kept++] = pending_[i];
     }

@@ -118,18 +118,32 @@ class NetworkManager {
 /// --- Privacy & Security Manager ---------------------------------------------
 /// Maintains runtime trust indicators (§III: "trust-related KPIs to implement
 /// trust and reputation schemes at runtime") and vetoes placements.
+///
+/// Trust is addressed by slot: Slot(node_id) hands out a stable handle (like
+/// sched::PodId) that callers holding node indices cache, so the per-outcome
+/// update is a vector access. The node-id overloads resolve the slot and run
+/// the same body.
+using TrustSlot = std::uint32_t;
+
 class PrivacySecurityManager {
  public:
   explicit PrivacySecurityManager(double veto_threshold = 0.4);
-  // The pending queue points into the trust map.
-  PrivacySecurityManager(const PrivacySecurityManager&) = delete;
-  PrivacySecurityManager& operator=(const PrivacySecurityManager&) = delete;
 
+  /// The slot of `node_id`'s trust entry, created at trust 1.0 on first use.
+  /// Slots stay valid for the manager's lifetime.
+  [[nodiscard]] TrustSlot Slot(const std::string& node_id);
   /// Records an outcome on a node; failures decay trust, successes recover
   /// it. Returns whether the node's trust changed.
-  bool RecordOutcome(const std::string& node_id, bool success);
+  bool RecordOutcome(TrustSlot slot, bool success);
+  bool RecordOutcome(const std::string& node_id, bool success) {
+    return RecordOutcome(Slot(node_id), success);
+  }
+  [[nodiscard]] double TrustOf(TrustSlot slot) const {
+    return entries_[slot].trust;
+  }
+  /// 1.0 for a node never seen.
   [[nodiscard]] double TrustOf(const std::string& node_id) const;
-  /// Nodes currently below the veto threshold.
+  /// Nodes currently below the veto threshold, in node-id order.
   [[nodiscard]] std::vector<std::string> VetoedNodes() const;
   /// True when a pod may run on the node: security level satisfied and node
   /// trusted.
@@ -145,14 +159,15 @@ class PrivacySecurityManager {
 
  private:
   struct TrustEntry {
+    std::string node_id;
     double trust = 1.0;
     bool pending = false;  // changed since the last publish
   };
-  using TrustMap = std::map<std::string, TrustEntry>;
   double veto_threshold_;
-  TrustMap trust_;  // absent = 1.0
-  // The entries with `pending` set, in no particular order between publishes.
-  std::vector<TrustMap::iterator> pending_;
+  std::vector<TrustEntry> entries_;           // indexed by TrustSlot
+  std::map<std::string, TrustSlot> slot_of_;  // node id -> slot, id order
+  // The slots with `pending` set, in no particular order between publishes.
+  std::vector<TrustSlot> pending_;
 };
 
 }  // namespace myrtus::mirto

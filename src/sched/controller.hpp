@@ -88,6 +88,13 @@ class Cluster {
   /// Pods bound to `node_id`, in pod-name order (the historical contract;
   /// rosters are kept name-sorted).
   [[nodiscard]] std::vector<PodView> PodsOnNode(const std::string& node_id) const;
+  /// Whether any pod is bound to the node in NodeIndex slot `node_slot`
+  /// (negative: none). O(1): it reads the roster, it does not copy it.
+  [[nodiscard]] bool NodeHasPods(std::int32_t node_slot) const {
+    const auto s = static_cast<std::size_t>(node_slot);
+    return node_slot >= 0 && s < pods_by_node_.size() &&
+           !pods_by_node_[s].empty();
+  }
   [[nodiscard]] std::size_t RunningPods() const { return running_count_; }
   [[nodiscard]] std::size_t PendingPods() const { return pending_count_; }
 

@@ -30,10 +30,6 @@ std::string LabelKey(const std::string& key, const std::string& value) {
 
 }  // namespace
 
-int Bitmap::CountTrailingZeros(std::uint64_t word) {
-  return std::countr_zero(word);
-}
-
 std::size_t Bitmap::Count() const {
   std::size_t n = 0;
   for (const std::uint64_t w : words_) n += static_cast<std::size_t>(std::popcount(w));
@@ -83,6 +79,7 @@ NodeState& NodeIndex::Add(continuum::ComputeNode* node,
   state.slot_ = slot;
   id_to_slot_.emplace(node->id(), slot);
 
+  nodes_.push_back(node);
   cpu_allocated_.push_back(0.0);
   mem_allocated_mb_.push_back(0);
   mem_capacity_mb_.push_back(node->mem_capacity_mb());

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -56,14 +57,13 @@ class Bitmap {
     for (std::size_t w = 0; w < words_.size(); ++w) {
       std::uint64_t word = words_[w];
       while (word != 0) {
-        fn(w * 64 + static_cast<std::size_t>(CountTrailingZeros(word)));
+        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
         word &= word - 1;
       }
     }
   }
 
  private:
-  static int CountTrailingZeros(std::uint64_t word);
   std::size_t bits_ = 0;
   std::vector<std::uint64_t> words_;
 };
@@ -98,6 +98,7 @@ class NodeState {
     return util::SubSat(mem_capacity_mb(), mem_allocated_mb());
   }
   [[nodiscard]] std::uint32_t slot() const { return slot_; }
+  [[nodiscard]] const NodeIndex& owner() const { return *owner_; }
 
  private:
   friend class NodeIndex;
@@ -133,6 +134,20 @@ class NodeIndex {
     return arena_[slot];
   }
 
+  /// --- Column reads by slot (the scheduler's per-candidate loop) ---------
+  [[nodiscard]] continuum::ComputeNode* node(std::uint32_t slot) const {
+    return nodes_[slot];
+  }
+  [[nodiscard]] double cpu_allocated(std::uint32_t slot) const {
+    return cpu_allocated_[slot];
+  }
+  [[nodiscard]] std::uint64_t mem_allocated_mb(std::uint32_t slot) const {
+    return mem_allocated_mb_[slot];
+  }
+  [[nodiscard]] std::uint64_t mem_capacity_mb(std::uint32_t slot) const {
+    return mem_capacity_mb_[slot];
+  }
+
   /// --- Allocation ledger (non-structural: candidate cache survives) ------
   void AddAllocation(std::uint32_t slot, double cpu, std::uint64_t mem_mb);
   void SubAllocation(std::uint32_t slot, double cpu, std::uint64_t mem_mb);
@@ -166,7 +181,8 @@ class NodeIndex {
 
   // SoA hot columns, indexed by slot. Memory capacity is immutable on
   // ComputeNode, so it is cached here; cpu capacity changes with operating
-  // points, so the node caches it instead.
+  // points, so the node caches it instead and is read through nodes_.
+  std::vector<continuum::ComputeNode*> nodes_;
   std::vector<double> cpu_allocated_;
   std::vector<std::uint64_t> mem_allocated_mb_;
   std::vector<std::uint64_t> mem_capacity_mb_;
@@ -187,13 +203,13 @@ class NodeIndex {
 };
 
 inline std::uint64_t NodeState::mem_capacity_mb() const {
-  return owner_->mem_capacity_mb_[slot_];
+  return owner_->mem_capacity_mb(slot_);
 }
 inline double NodeState::cpu_allocated() const {
-  return owner_->cpu_allocated_[slot_];
+  return owner_->cpu_allocated(slot_);
 }
 inline std::uint64_t NodeState::mem_allocated_mb() const {
-  return owner_->mem_allocated_mb_[slot_];
+  return owner_->mem_allocated_mb(slot_);
 }
 inline bool NodeState::cordoned() const {
   return owner_->cordoned_[slot_] != 0;

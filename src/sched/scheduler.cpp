@@ -154,43 +154,11 @@ FilterPlugin NodeReady() {
 }
 
 ScorePlugin LeastAllocated(double weight) {
-  return {"least-allocated", weight, [](const PodSpec&, const NodeState& n) {
-            const double cap = n.cpu_capacity();
-            return cap <= 0 ? 0.0 : std::max(0.0, n.CpuFree() / cap);
-          }};
+  return {"least-allocated", ScoreKind::kLeastAllocated, weight};
 }
 
 ScorePlugin Balanced(double weight) {
-  return {"balanced", weight, [](const PodSpec& pod, const NodeState& n) {
-            const double cpu_frac =
-                (n.cpu_allocated() + pod.cpu_request) /
-                std::max(1e-9, n.cpu_capacity());
-            const double mem_frac =
-                static_cast<double>(n.mem_allocated_mb() + pod.mem_request_mb) /
-                std::max<double>(1.0, static_cast<double>(n.mem_capacity_mb()));
-            return 1.0 - std::fabs(cpu_frac - mem_frac);
-          }};
-}
-
-ScorePlugin EnergyEfficient(double weight) {
-  return {"energy", weight, [](const PodSpec&, const NodeState& n) {
-            double power = 0.0;
-            for (const continuum::Device& d : n.node->devices()) {
-              power += d.active_point().power_active_mw;
-            }
-            const double cap = n.cpu_capacity();
-            if (cap <= 0) return 0.0;
-            const double mw_per_unit = power / cap;
-            // Map [50, 2000] mW/unit onto (1, 0).
-            return std::clamp(1.0 - (mw_per_unit - 50.0) / 1950.0, 0.0, 1.0);
-          }};
-}
-
-ScorePlugin PreferLayer(const std::string& preferred, double weight) {
-  return {"prefer-layer", weight,
-          [preferred](const PodSpec&, const NodeState& n) {
-            return continuum::LayerName(n.node->layer()) == preferred ? 1.0 : 0.0;
-          }};
+  return {"balanced", ScoreKind::kBalanced, weight};
 }
 
 }  // namespace plugins
@@ -209,14 +177,42 @@ Scheduler Scheduler::Default() {
   return s;
 }
 
-double Scheduler::ScoreNode(const PodSpec& pod, const NodeState& n) const {
-  double score = 0.0;
-  double total_weight = 0.0;
-  for (const ScorePlugin& plugin : scorers_) {
-    score += plugin.weight * plugin.fn(pod, n);
-    total_weight += plugin.weight;
+void Scheduler::AddFilter(FilterPlugin f) {
+  has_kind_[static_cast<std::size_t>(f.kind)] = true;
+  if (f.kind == FilterKind::kOpaque) {
+    opaque_.push_back(static_cast<std::uint32_t>(filters_.size()));
   }
-  return total_weight > 0 ? score / total_weight : score;
+  filters_.push_back(std::move(f));
+}
+
+inline double Scheduler::ScoreSlot(const PodSpec& pod,
+                                   const NodeIndex& index,
+                                   std::uint32_t slot) const {
+  // Capacity is read live: operating points change it at runtime.
+  const double cap = index.node(slot)->CpuCapacity();
+  const double cpu_allocated = index.cpu_allocated(slot);
+  double score = 0.0;
+  for (const ScorePlugin& plugin : scorers_) {
+    double value = 0.0;
+    switch (plugin.kind) {
+      case ScoreKind::kLeastAllocated:
+        value = cap <= 0 ? 0.0 : std::max(0.0, (cap - cpu_allocated) / cap);
+        break;
+      case ScoreKind::kBalanced: {
+        const double cpu_frac =
+            (cpu_allocated + pod.cpu_request) / std::max(1e-9, cap);
+        const double mem_frac =
+            static_cast<double>(index.mem_allocated_mb(slot) +
+                                pod.mem_request_mb) /
+            std::max<double>(
+                1.0, static_cast<double>(index.mem_capacity_mb(slot)));
+        value = 1.0 - std::fabs(cpu_frac - mem_frac);
+        break;
+      }
+    }
+    score += plugin.weight * value;
+  }
+  return score_weight_total_ > 0 ? score / score_weight_total_ : score;
 }
 
 template <typename GetNode>
@@ -246,7 +242,7 @@ util::StatusOr<ScheduleResult> Scheduler::ScanImpl(const PodSpec& pod,
       result.rejections.emplace_back(n.node->id(), std::move(*rejection));
       continue;
     }
-    const double score = ScoreNode(pod, n);
+    const double score = ScoreSlot(pod, n.owner(), n.slot());
     if (score > best_score) {
       best_score = score;
       best = &n;
@@ -303,39 +299,36 @@ util::StatusOr<ScheduleResult> Scheduler::Schedule(
     query.selector = &pod.node_selector;
   }
 
+  // The residual filters: liveness and capacity read live, then the opaque
+  // filters. Filters are predicates, so running the built-in checks first
+  // cannot change a verdict.
+  const bool check_ready =
+      has_kind_[static_cast<std::size_t>(FilterKind::kNodeReady)];
+  const bool check_fits =
+      has_kind_[static_cast<std::size_t>(FilterKind::kFitsResources)];
   const Bitmap& candidates = index.Candidates(query);
-  const NodeState* best = nullptr;
+  const continuum::ComputeNode* best = nullptr;
   double best_score = -1.0;
   std::uint64_t considered = 0;
-  candidates.ForEachSet([&](std::size_t slot) {
-    const NodeState& n = index.at(slot);
+  candidates.ForEachSet([&](std::size_t candidate) {
+    const auto slot = static_cast<std::uint32_t>(candidate);
     ++considered;
-    // Residual filters, in pipeline order. Dimensions the bitmaps guarantee
-    // are skipped; liveness, capacity, and opaque filters run live.
-    for (const FilterPlugin& filter : filters_) {
-      switch (filter.kind) {
-        case FilterKind::kNotCordoned:
-        case FilterKind::kSecurityLevel:
-        case FilterKind::kAccelerator:
-        case FilterKind::kLayerAffinity:
-        case FilterKind::kNodeSelector:
-          continue;
-        case FilterKind::kNodeReady:
-          if (!n.node->up()) return;
-          continue;
-        case FilterKind::kFitsResources:
-          if (n.CpuFree() < pod.cpu_request) return;
-          if (n.MemFreeMb() < pod.mem_request_mb) return;
-          continue;
-        case FilterKind::kOpaque:
-          if (filter.fn(pod, n)) return;
-          continue;
-      }
+    const continuum::ComputeNode& node = *index.node(slot);
+    if (check_ready && !node.up()) return;
+    // The same arithmetic as NodeState::CpuFree() and MemFreeMb().
+    if (check_fits &&
+        (node.CpuCapacity() - index.cpu_allocated(slot) < pod.cpu_request ||
+         util::SubSat(index.mem_capacity_mb(slot),
+                      index.mem_allocated_mb(slot)) < pod.mem_request_mb)) {
+      return;
     }
-    const double score = ScoreNode(pod, n);
+    for (const std::uint32_t f : opaque_) {
+      if (filters_[f].fn(pod, index.at(slot))) return;
+    }
+    const double score = ScoreSlot(pod, index, slot);
     if (score > best_score) {
       best_score = score;
-      best = &n;
+      best = &node;
     }
   });
 
@@ -353,7 +346,7 @@ util::StatusOr<ScheduleResult> Scheduler::Schedule(
                                     {{"result", "placed"}});
   }
   ScheduleResult result;
-  result.node_id = best->node->id();
+  result.node_id = best->id();
   result.score = best_score;
   result.nodes_considered = considered;
   span.SetAttribute("node", result.node_id);

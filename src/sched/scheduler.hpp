@@ -1,14 +1,15 @@
 // Filter → score → bind scheduling pipeline, mirroring kube-scheduler's
 // framework. Filters eliminate infeasible nodes (resources, security level,
 // accelerator, layer affinity, labels); scorers rank the survivors
-// (least-allocated, balanced, energy, latency-to-consumer).
+// (least-allocated, balanced).
 //
 // Two execution paths produce identical verdicts:
 //  - scan: filter + score every node (the reference semantics);
 //  - indexed: intersect NodeIndex bitmaps for the structural filters, then
 //    run only the residual (capacity/liveness/opaque) filters per candidate.
 // The indexed path falls back to the scan when no candidate survives, so
-// failures carry the same per-node rejection list either way.
+// failures carry the same per-node rejection list either way. Both paths
+// score through one kernel over the NodeIndex columns.
 #pragma once
 
 #include <functional>
@@ -43,8 +44,12 @@ inline constexpr std::size_t kNumFilterKinds = 8;
 /// passes it (empty optional).
 using FilterFn = std::function<std::optional<std::string>(
     const PodSpec& pod, const NodeState& node)>;
-/// A scorer returns [0,1]; higher is better.
-using ScoreFn = std::function<double(const PodSpec& pod, const NodeState& node)>;
+/// Which built-in score a scorer computes, each in [0,1], higher is better.
+/// Scores are not callbacks: one kernel switches on the kind.
+enum class ScoreKind : std::uint8_t {
+  kLeastAllocated,  // free cpu over cpu capacity
+  kBalanced,        // 1 - |cpu fraction - memory fraction| after the bind
+};
 
 struct FilterPlugin {
   std::string name;
@@ -54,8 +59,8 @@ struct FilterPlugin {
 
 struct ScorePlugin {
   std::string name;
+  ScoreKind kind = ScoreKind::kLeastAllocated;
   double weight = 1.0;
-  ScoreFn fn;
 };
 
 /// Built-in plugins.
@@ -70,10 +75,6 @@ FilterPlugin NodeReady();
 
 ScorePlugin LeastAllocated(double weight = 1.0);
 ScorePlugin Balanced(double weight = 1.0);
-/// Prefers nodes whose active operating points draw less power per capacity.
-ScorePlugin EnergyEfficient(double weight = 1.0);
-/// Prefers the layer named in `preferred` (soft affinity).
-ScorePlugin PreferLayer(const std::string& preferred, double weight = 1.0);
 }  // namespace plugins
 
 struct ScheduleResult {
@@ -90,16 +91,15 @@ class Scheduler {
   /// Default pipeline: all built-in filters, least-allocated + balanced.
   static Scheduler Default();
 
-  void AddFilter(FilterPlugin f) {
-    has_kind_[static_cast<std::size_t>(f.kind)] = true;
-    filters_.push_back(std::move(f));
-  }
+  void AddFilter(FilterPlugin f);
   /// Opaque custom filter: always evaluated per candidate on both paths.
   void AddFilter(FilterFn f) {
     AddFilter(FilterPlugin{"custom", FilterKind::kOpaque, std::move(f)});
   }
-  void AddScorer(ScorePlugin s) { scorers_.push_back(std::move(s)); }
-  void ClearScorers() { scorers_.clear(); }
+  void AddScorer(ScorePlugin s) {
+    score_weight_total_ += s.weight;
+    scorers_.push_back(std::move(s));
+  }
 
   /// Picks the best feasible node by scanning `nodes`. RESOURCE_EXHAUSTED
   /// when none fits (the result's rejection list explains why, per node).
@@ -112,7 +112,10 @@ class Scheduler {
       const PodSpec& pod, const NodeIndex& index) const;
 
  private:
-  [[nodiscard]] double ScoreNode(const PodSpec& pod, const NodeState& n) const;
+  /// The scoring kernel both paths share: the weighted mean of every
+  /// scorer's value for `slot` of `index`, in scorer order.
+  [[nodiscard]] double ScoreSlot(const PodSpec& pod, const NodeIndex& index,
+                                 std::uint32_t slot) const;
   template <typename GetNode>
   [[nodiscard]] util::StatusOr<ScheduleResult> ScanImpl(
       const PodSpec& pod, std::size_t count, GetNode get,
@@ -120,7 +123,11 @@ class Scheduler {
 
   std::vector<FilterPlugin> filters_;
   std::vector<ScorePlugin> scorers_;
+  // Sum of the scorer weights, accumulated in scorer order.
+  double score_weight_total_ = 0.0;
   bool has_kind_[kNumFilterKinds] = {};
+  // Indices into filters_ of the opaque filters, in pipeline order.
+  std::vector<std::uint32_t> opaque_;
 };
 
 }  // namespace myrtus::sched

@@ -192,6 +192,57 @@ TEST(SecurityManager, TrustDecaysOnFailuresAndRecovers) {
   EXPECT_TRUE(psm.VetoedNodes().empty());
 }
 
+TEST(SecurityManager, SlotAndIdAddressTheSameTrust) {
+  PrivacySecurityManager psm(0.4);
+  // Slots handed out out of id order, and stable on repeat.
+  const TrustSlot c = psm.Slot("node-c");
+  const TrustSlot a = psm.Slot("node-a");
+  EXPECT_NE(a, c);
+  EXPECT_EQ(psm.Slot("node-c"), c);
+  EXPECT_EQ(psm.TrustOf(a), 1.0);
+  EXPECT_EQ(psm.TrustOf("never-seen"), 1.0);
+
+  // Recorded through the slot, read through the id, and the other way round.
+  EXPECT_TRUE(psm.RecordOutcome(c, false));
+  EXPECT_EQ(psm.TrustOf("node-c"), 0.7);
+  EXPECT_EQ(psm.TrustOf("node-c"), psm.TrustOf(c));
+  EXPECT_TRUE(psm.RecordOutcome("node-a", false));
+  EXPECT_EQ(psm.TrustOf(a), 0.7);
+  // Both addresses drive one entry: alternating them compounds.
+  EXPECT_TRUE(psm.RecordOutcome(a, false));
+  EXPECT_TRUE(psm.RecordOutcome("node-a", false));
+  EXPECT_EQ(psm.TrustOf(a), 0.7 * 0.7 * 0.7);
+  EXPECT_EQ(psm.TrustOf("node-a"), psm.TrustOf(a));
+  for (int i = 0; i < 2; ++i) psm.RecordOutcome(c, false);
+
+  // Vetoes come back in id order although "node-c" took its slot first.
+  EXPECT_EQ(psm.VetoedNodes(),
+            (std::vector<std::string>{"node-a", "node-c"}));
+
+  // A node first seen late gets a working slot, placed in id order among
+  // the vetoes and published like the others.
+  kb::Store store;
+  kb::ResourceRegistry registry(store);
+  for (const char* id : {"node-a", "node-b", "node-c"}) {
+    registry.PutNode({.node_id = id, .layer = "edge"});
+  }
+  psm.PublishTrust(registry);
+  const TrustSlot b = psm.Slot("node-b");
+  EXPECT_NE(b, a);
+  EXPECT_NE(b, c);
+  EXPECT_EQ(psm.TrustOf(b), 1.0);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(psm.RecordOutcome(b, false));
+  EXPECT_EQ(psm.TrustOf("node-b"), psm.TrustOf(b));
+  EXPECT_EQ(psm.VetoedNodes(),
+            (std::vector<std::string>{"node-a", "node-b", "node-c"}));
+  psm.PublishTrust(registry);
+  for (const char* id : {"node-a", "node-b", "node-c"}) {
+    const auto record = registry.GetNode(id);
+    ASSERT_TRUE(record.ok()) << id;
+    EXPECT_EQ(record->trust_score, psm.TrustOf(id)) << id;
+  }
+}
+
 TEST(SecurityManager, PermitsChecksLevelAndTrust) {
   sim::Engine engine;
   continuum::ComputeNode low_node(engine, "edge-x", continuum::Layer::kEdge,

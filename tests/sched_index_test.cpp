@@ -3,6 +3,8 @@
 // verdicts on randomized fleets, pods, and structural churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -251,6 +253,28 @@ TEST(Cluster, BindBatchIsAdmittedThroughOneCandidateBuild) {
 
 class SchedDifferential : public ::testing::TestWithParam<int> {};
 
+// The default pipeline's score, written out from the handle's live reads in
+// the kernel's floating-point order. Both scheduler paths share one kernel,
+// so a kernel reading a stale capacity would still agree with itself; it
+// disagrees with this after an operating-point change.
+double ReferenceScore(const PodSpec& pod, const NodeState& n) {
+  const double cap = n.cpu_capacity();
+  const double least = cap <= 0 ? 0.0 : std::max(0.0, n.CpuFree() / cap);
+  const double cpu_frac =
+      (n.cpu_allocated() + pod.cpu_request) / std::max(1e-9, cap);
+  const double mem_frac =
+      static_cast<double>(n.mem_allocated_mb() + pod.mem_request_mb) /
+      std::max<double>(1.0, static_cast<double>(n.mem_capacity_mb()));
+  const double balanced = 1.0 - std::fabs(cpu_frac - mem_frac);
+  double score = 0.0;
+  double total = 0.0;
+  score += 1.0 * least;
+  total += 1.0;
+  score += 0.5 * balanced;
+  total += 0.5;
+  return score / total;
+}
+
 TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()), "sched-diff");
   sim::Engine engine;
@@ -268,9 +292,13 @@ TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
         engine, id, static_cast<Layer>(rng.NextBounded(3)), "test",
         static_cast<security::SecurityLevel>(rng.NextBounded(3)),
         256 + rng.NextBounded(2048));
-    node->AddDevice(Device(id + "/cpu", DeviceKind::kServerCpu,
-                           2 + static_cast<int>(rng.NextBounded(6)),
-                           {OperatingPoint{"base"}}));
+    // Two operating points, so the churn below can move cpu capacity.
+    node->AddDevice(Device(
+        id + "/cpu", DeviceKind::kServerCpu,
+        2 + static_cast<int>(rng.NextBounded(6)),
+        {OperatingPoint{"base"},
+         OperatingPoint{"boost", 1.5 + rng.Uniform(0.0, 1.0), 2000.0, 150.0,
+                        1.0}}));
     if (rng.NextBool(0.3)) {
       node->AddDevice(Device(id + "/fpga", DeviceKind::kFpgaAccelerator, 1,
                              {OperatingPoint{"accel"}}));
@@ -299,7 +327,10 @@ TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
     ASSERT_EQ(scan.ok(), indexed.ok()) << pod.name;
     if (scan.ok()) {
       EXPECT_EQ(scan->node_id, indexed->node_id) << pod.name;
-      EXPECT_DOUBLE_EQ(scan->score, indexed->score) << pod.name;
+      EXPECT_EQ(scan->score, indexed->score) << pod.name;
+      EXPECT_EQ(scan->score,
+                ReferenceScore(pod, *cluster.FindNodeState(scan->node_id)))
+          << pod.name;
     } else {
       // Same status, same per-node first-failing-filter reasons.
       EXPECT_EQ(scan.status().code(), indexed.status().code());
@@ -311,7 +342,7 @@ TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
     for (int p = 0; p < 10; ++p) probe();
     for (int m = 0; m < 8; ++m) {
       const std::string& id = ids[rng.NextBounded(ids.size())];
-      switch (rng.NextBounded(5)) {
+      switch (rng.NextBounded(6)) {
         case 0: {  // real bind: allocation churn
           PodSpec pod;
           pod.name = "w-" + std::to_string(pod_tag++);
@@ -331,6 +362,11 @@ TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
           break;
         case 3:
           cluster.FindNodeState(id)->node->SetUp(rng.NextBool(0.8));
+          break;
+        case 4:  // capacity churn: the kernel must read it live
+          ASSERT_TRUE(cluster.FindNodeState(id)
+                          ->node->SetOperatingPoint(0, rng.NextBounded(2))
+                          .ok());
           break;
         default:
           ASSERT_TRUE(cluster
