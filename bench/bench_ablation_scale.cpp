@@ -2,10 +2,11 @@
 // (NodeIndex bitmaps + candidate cache) exists so the MYRTUS control plane
 // can admit continuum-scale pod fleets; this bench sweeps 1k -> 1M pods over
 // up to 10k nodes and measures indexed admission throughput, the sampled
-// scan-path throughput (the ablation baseline), incremental-reconcile p99
+// full-scan throughput (the ablation baseline: the oracle's scan from
+// tests/oracle/, every filter on every node), incremental-reconcile p99
 // under node-failure churn, MAPE-iteration p99 on a loaded cluster, and RSS.
 // Wall-clock numbers ride along ungated; the gates are the deterministic
-// contracts: every pod places, the scan and indexed paths return
+// contracts: every pod places, the scan and the indexed scheduler return
 // byte-identical verdicts (FNV witness), and indexed admission beats the
 // scan by >= 10x at the reference scale point.
 #include <benchmark/benchmark.h>
@@ -25,6 +26,7 @@
 #include "mirto/agent.hpp"
 #include "net/transport.hpp"
 #include "oracle/mape_oracle.hpp"
+#include "oracle/sched_oracle.hpp"
 #include "sched/controller.hpp"
 #include "sched/scheduler.hpp"
 #include "util/bytes.hpp"
@@ -139,7 +141,6 @@ struct ScaleRow {
 /// message) of `probes` dry-run pods, once per scheduler path.
 bool VerdictsMatch(sched::Cluster& cluster, std::size_t zones,
                    std::size_t probes) {
-  const sched::Scheduler scan_sched = sched::Scheduler::Default();
   std::string indexed_buf;
   std::string scan_buf;
   for (std::size_t k = 0; k < probes; ++k) {
@@ -147,7 +148,7 @@ bool VerdictsMatch(sched::Cluster& cluster, std::size_t zones,
     sched::PodSpec pod = MakePod(k * 13 + 5, zones, "probe");
     if (k % 9 == 0) pod.cpu_request = 64.0;  // infeasible on purpose
     auto indexed = cluster.DryRunSchedule(pod);
-    auto scanned = scan_sched.Schedule(pod, cluster.NodeStates());
+    auto scanned = oracle::ScanSchedule({}, pod, cluster.NodeStates());
     indexed_buf += indexed.ok() ? indexed->node_id : indexed.status().message();
     indexed_buf.push_back('\n');
     scan_buf += scanned.ok() ? scanned->node_id : scanned.status().message();
@@ -366,14 +367,13 @@ ScaleRow RunScalePoint(std::size_t n_pods) {
       indexed_ms > 0 ? 1000.0 * static_cast<double>(n_pods) / indexed_ms : 0.0;
   row.rss_mb = ProcStatusMb("VmRSS:");
 
-  // Scan-path sample on the same loaded fleet (the ablation baseline): the
-  // scan reference picks the node, BindPodToNode commits it.
+  // Full-scan sample on the same loaded fleet (the ablation baseline): the
+  // oracle's scan picks the node, BindPodToNode commits it.
   const std::size_t scan_n = std::min<std::size_t>(n_pods, 500);
-  const sched::Scheduler scan_sched = sched::Scheduler::Default();
   const auto t1 = std::chrono::steady_clock::now();
   for (std::size_t j = 0; j < scan_n; ++j) {
     const sched::PodSpec pod = MakePod(n_pods + j, w.zones, "s");
-    auto chosen = scan_sched.Schedule(pod, w.cluster->NodeStates());
+    auto chosen = oracle::ScanSchedule({}, pod, w.cluster->NodeStates());
     if (!chosen.ok() || !w.cluster->BindPodToNode(pod, chosen->node_id).ok()) {
       ++row.failures;
     }
@@ -564,11 +564,10 @@ BENCHMARK(BM_DryRunScheduleIndexed)->Arg(100)->Arg(1000);
 
 void BM_ScheduleScan(benchmark::State& state) {
   World w = BuildWorld(static_cast<std::size_t>(state.range(0)));
-  const sched::Scheduler sched = sched::Scheduler::Default();
   const sched::PodSpec pod = MakePod(1, w.zones);
   const std::vector<sched::NodeState*> states = w.cluster->NodeStates();
   for (auto _ : state) {
-    auto result = sched.Schedule(pod, states);
+    auto result = oracle::ScanSchedule({}, pod, states);
     benchmark::DoNotOptimize(result);
   }
 }

@@ -14,6 +14,7 @@
 #include "kb/cluster.hpp"
 #include "mirto/agent.hpp"
 #include "net/pubsub.hpp"
+#include "oracle/sched_oracle.hpp"
 #include "security/channel.hpp"
 #include "swarm/placement.hpp"
 #include "usecases/scenario.hpp"
@@ -94,17 +95,19 @@ void BM_BB_KbStoreOps(benchmark::State& state) {
 BENCHMARK(BM_BB_KbStoreOps);
 
 // --- Resource management --------------------------------------------------------
+// The full filter -> score pipeline over every node: the oracle's scan from
+// tests/oracle/, the reference the indexed scheduler is checked against.
 void BM_BB_SchedulerPipeline(benchmark::State& state) {
   sim::Engine engine;
   continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
   sched::Cluster cluster(engine, sched::Scheduler::Default());
   for (auto& n : infra.nodes) cluster.AddNode(n.get());
-  sched::Scheduler scheduler = sched::Scheduler::Default();
   sched::PodSpec pod;
   pod.name = "probe";
   pod.cpu_request = 0.5;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.Schedule(pod, cluster.NodeStates()));
+    benchmark::DoNotOptimize(
+        oracle::ScanSchedule({}, pod, cluster.NodeStates()));
   }
 }
 BENCHMARK(BM_BB_SchedulerPipeline);
@@ -132,6 +135,26 @@ void BM_BB_SchedulerIndexed(benchmark::State& state) {
       static_cast<double>(candidates), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BB_SchedulerIndexed);
+
+// The production path's failure: a pod no node of the default fleet fits.
+// The candidate loop rejects every node on cpu, then the failure walk writes
+// each node's reason into the RESOURCE_EXHAUSTED message.
+void BM_BB_SchedulerExhausted(benchmark::State& state) {
+  sim::Engine engine;
+  continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
+  sched::Cluster cluster(engine, sched::Scheduler::Default());
+  for (auto& n : infra.nodes) cluster.AddNode(n.get());
+  sched::Scheduler scheduler = sched::Scheduler::Default();
+  sched::PodSpec pod;
+  pod.name = "probe";
+  pod.cpu_request = 1e6;
+  for (auto _ : state) {
+    auto result = scheduler.Schedule(pod, cluster.index());
+    if (result.ok()) state.SkipWithError("a pod sized past the fleet fit");
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_BB_SchedulerExhausted);
 
 // --- Orchestration ---------------------------------------------------------------
 void BM_BB_PlacementPlanning(benchmark::State& state) {

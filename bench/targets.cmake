@@ -18,5 +18,7 @@ foreach(src ${bench_sources})
   set_target_properties(${name} PROPERTIES RUNTIME_OUTPUT_DIRECTORY "${CMAKE_BINARY_DIR}/bench")
 endforeach()
 
-# The MAPE churn ablation times the full-walk oracle from tests/oracle/.
+# The MAPE churn ablation times the full-walk oracle from tests/oracle/, and
+# the scale ablation and the building-blocks table its full-scan scheduler.
 target_link_libraries(bench_ablation_scale PRIVATE myrtus_oracle)
+target_link_libraries(bench_table1_building_blocks PRIVATE myrtus_oracle)

@@ -282,17 +282,4 @@ std::vector<TelemetrySample> ResourceRegistry::GetTelemetry(
   return out;
 }
 
-double ResourceRegistry::RecentMean(const std::string& node_id,
-                                    const std::string& metric,
-                                    std::size_t window) const {
-  const std::vector<TelemetrySample> samples = GetTelemetry(node_id, metric);
-  if (samples.empty()) return 0.0;
-  const std::size_t n = std::min(window, samples.size());
-  double sum = 0.0;
-  for (std::size_t i = samples.size() - n; i < samples.size(); ++i) {
-    sum += samples[i].value;
-  }
-  return sum / static_cast<double>(n);
-}
-
 }  // namespace myrtus::kb

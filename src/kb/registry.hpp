@@ -98,10 +98,6 @@ class ResourceRegistry {
                        TelemetrySample sample, std::size_t max_samples = 256);
   [[nodiscard]] std::vector<TelemetrySample> GetTelemetry(
       const std::string& node_id, const std::string& metric) const;
-  /// Mean of the most recent `window` samples (0 when empty).
-  [[nodiscard]] double RecentMean(const std::string& node_id,
-                                  const std::string& metric,
-                                  std::size_t window = 16) const;
 
   /// SLO burn-rate alert state published by the self-monitoring loop
   /// (`scope` = the evaluating component, e.g. the MIRTO agent host). This is

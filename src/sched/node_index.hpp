@@ -1,7 +1,7 @@
 // Indexed per-node scheduler state: a struct-of-arrays arena of hot ledger
 // columns plus inverted indexes (bitmaps) over the structural placement
 // dimensions — security level, layer, labels, accelerator presence,
-// cordon state. The scheduler's indexed path intersects those bitmaps to
+// cordon state. The scheduler intersects those bitmaps to
 // obtain a candidate set instead of filtering every node per pod; capacity
 // (cpu/memory headroom, node liveness) is always checked live per candidate
 // because it changes on every bind.
@@ -34,7 +34,7 @@ class NodeIndex;
 
 /// Compact bitset over node slots. Word-parallel intersection plus set-bit
 /// iteration in ascending slot order (== node insertion order), which is
-/// what preserves the scan path's deterministic tie-breaking.
+/// what fixes the scheduler's deterministic tie-breaking.
 class Bitmap {
  public:
   void Resize(std::size_t bits) {
@@ -134,7 +134,7 @@ class NodeIndex {
     return arena_[slot];
   }
 
-  /// --- Column reads by slot (the scheduler's per-candidate loop) ---------
+  /// --- Column reads by slot (the scheduler's candidate and failure loops) -
   [[nodiscard]] continuum::ComputeNode* node(std::uint32_t slot) const {
     return nodes_[slot];
   }
@@ -146,6 +146,16 @@ class NodeIndex {
   }
   [[nodiscard]] std::uint64_t mem_capacity_mb(std::uint32_t slot) const {
     return mem_capacity_mb_[slot];
+  }
+  [[nodiscard]] bool cordoned(std::uint32_t slot) const {
+    return cordoned_[slot] != 0;
+  }
+  [[nodiscard]] bool has_accelerator(std::uint32_t slot) const {
+    return has_accelerator_[slot] != 0;
+  }
+  [[nodiscard]] const std::map<std::string, std::string>& labels(
+      std::uint32_t slot) const {
+    return labels_[slot];
   }
 
   /// --- Allocation ledger (non-structural: candidate cache survives) ------
@@ -172,7 +182,6 @@ class NodeIndex {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  friend class NodeState;
   void InvalidateCandidates();
 
   // Handles; deque keeps them pointer-stable as the fleet grows.
@@ -211,14 +220,12 @@ inline double NodeState::cpu_allocated() const {
 inline std::uint64_t NodeState::mem_allocated_mb() const {
   return owner_->mem_allocated_mb(slot_);
 }
-inline bool NodeState::cordoned() const {
-  return owner_->cordoned_[slot_] != 0;
-}
+inline bool NodeState::cordoned() const { return owner_->cordoned(slot_); }
 inline const std::map<std::string, std::string>& NodeState::labels() const {
-  return owner_->labels_[slot_];
+  return owner_->labels(slot_);
 }
 inline bool NodeState::HasAccelerator() const {
-  return owner_->has_accelerator_[slot_] != 0;
+  return owner_->has_accelerator(slot_);
 }
 
 }  // namespace myrtus::sched

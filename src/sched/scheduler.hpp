@@ -1,133 +1,66 @@
 // Filter → score → bind scheduling pipeline, mirroring kube-scheduler's
-// framework. Filters eliminate infeasible nodes (resources, security level,
-// accelerator, layer affinity, labels); scorers rank the survivors
-// (least-allocated, balanced).
+// default profile. There is one production path, and its checks and scores
+// are fixed:
 //
-// Two execution paths produce identical verdicts:
-//  - scan: filter + score every node (the reference semantics);
-//  - indexed: intersect NodeIndex bitmaps for the structural filters, then
-//    run only the residual (capacity/liveness/opaque) filters per candidate.
-// The indexed path falls back to the scan when no candidate survives, so
-// failures carry the same per-node rejection list either way. Both paths
-// score through one kernel over the NodeIndex columns.
+//  - filters, in order: node ready, not cordoned, fits (cpu, then memory),
+//    security level, accelerator, layer affinity, node selector, then any
+//    opaque filters added with AddFilter();
+//  - score: the weighted mean of least-allocated (1.0) and balanced (0.5).
+//
+// Schedule() intersects NodeIndex bitmaps for the structural filters, checks
+// liveness, capacity and the opaque filters per candidate, and scores each
+// survivor from the NodeIndex columns. When nothing survives, one walk over
+// the index in slot order reads each node's first failing check from the
+// same sources and writes the RESOURCE_EXHAUSTED message. The full-scan
+// reference the differential tests compare against lives in the test oracle
+// (tests/oracle/sched_oracle.hpp), not here.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "continuum/node.hpp"
 #include "sched/node_index.hpp"
 #include "sched/pod.hpp"
 #include "util/status.hpp"
 
 namespace myrtus::sched {
 
-/// Which built-in constraint a filter implements. The indexed path uses the
-/// kind to decide which filters the candidate bitmaps already guarantee;
-/// kOpaque filters always run per candidate.
-enum class FilterKind : std::uint8_t {
-  kOpaque = 0,
-  kNodeReady,       // liveness: mutated externally, always checked live
-  kNotCordoned,     // indexed
-  kFitsResources,   // capacity: changes per bind, always checked live
-  kSecurityLevel,   // indexed
-  kAccelerator,     // indexed
-  kLayerAffinity,   // indexed
-  kNodeSelector,    // indexed
-};
-inline constexpr std::size_t kNumFilterKinds = 8;
-
-/// A filter rejects a node outright (returns a human-readable reason) or
-/// passes it (empty optional).
+/// An opaque filter rejects a node outright (returns a human-readable reason)
+/// or passes it (empty optional).
 using FilterFn = std::function<std::optional<std::string>(
     const PodSpec& pod, const NodeState& node)>;
-/// Which built-in score a scorer computes, each in [0,1], higher is better.
-/// Scores are not callbacks: one kernel switches on the kind.
-enum class ScoreKind : std::uint8_t {
-  kLeastAllocated,  // free cpu over cpu capacity
-  kBalanced,        // 1 - |cpu fraction - memory fraction| after the bind
-};
-
-struct FilterPlugin {
-  std::string name;
-  FilterKind kind = FilterKind::kOpaque;
-  FilterFn fn;
-};
-
-struct ScorePlugin {
-  std::string name;
-  ScoreKind kind = ScoreKind::kLeastAllocated;
-  double weight = 1.0;
-};
-
-/// Built-in plugins.
-namespace plugins {
-FilterPlugin FitsResources();
-FilterPlugin SecurityLevel();
-FilterPlugin Accelerator();
-FilterPlugin LayerAffinity();
-FilterPlugin NodeSelector();
-FilterPlugin NotCordoned();
-FilterPlugin NodeReady();
-
-ScorePlugin LeastAllocated(double weight = 1.0);
-ScorePlugin Balanced(double weight = 1.0);
-}  // namespace plugins
 
 struct ScheduleResult {
   std::string node_id;
   double score = 0.0;
-  std::vector<std::pair<std::string, std::string>> rejections;  // node, reason
-  /// Nodes actually evaluated: fleet size on the scan path, candidate-set
-  /// size on the indexed fast path.
+  /// Candidate-set size: the nodes the structural bitmaps left to check.
   std::uint64_t nodes_considered = 0;
 };
 
 class Scheduler {
  public:
-  /// Default pipeline: all built-in filters, least-allocated + balanced.
-  static Scheduler Default();
+  /// The built-in pipeline with no opaque filters.
+  static Scheduler Default() { return Scheduler(); }
 
-  void AddFilter(FilterPlugin f);
-  /// Opaque custom filter: always evaluated per candidate on both paths.
-  void AddFilter(FilterFn f) {
-    AddFilter(FilterPlugin{"custom", FilterKind::kOpaque, std::move(f)});
-  }
-  void AddScorer(ScorePlugin s) {
-    score_weight_total_ += s.weight;
-    scorers_.push_back(std::move(s));
-  }
+  /// Opaque custom filter, evaluated per candidate after the built-in checks.
+  void AddFilter(FilterFn f) { filters_.push_back(std::move(f)); }
 
-  /// Picks the best feasible node by scanning `nodes`. RESOURCE_EXHAUSTED
-  /// when none fits (the result's rejection list explains why, per node).
-  [[nodiscard]] util::StatusOr<ScheduleResult> Schedule(
-      const PodSpec& pod, const std::vector<NodeState*>& nodes) const;
-  /// Indexed candidate selection over `index`; verdict-identical to the scan
-  /// (same winner; on failure, same rejection list via scan fallback). The
-  /// success fast path leaves `rejections` empty.
+  /// Picks the best feasible node of `index`: the highest score, ties to the
+  /// lowest slot. RESOURCE_EXHAUSTED when none fits; the message lists every
+  /// node, in slot order, with the reason of its first failing check.
   [[nodiscard]] util::StatusOr<ScheduleResult> Schedule(
       const PodSpec& pod, const NodeIndex& index) const;
 
  private:
-  /// The scoring kernel both paths share: the weighted mean of every
-  /// scorer's value for `slot` of `index`, in scorer order.
-  [[nodiscard]] double ScoreSlot(const PodSpec& pod, const NodeIndex& index,
-                                 std::uint32_t slot) const;
-  template <typename GetNode>
-  [[nodiscard]] util::StatusOr<ScheduleResult> ScanImpl(
-      const PodSpec& pod, std::size_t count, GetNode get,
-      const char* path) const;
+  /// Appends "; <node id>: <reason>" for the first check `slot` fails, in
+  /// pipeline order, each read from the source the candidate query or the
+  /// per-candidate checks read; appends nothing when every check passes.
+  void AppendRejection(const PodSpec& pod, const NodeIndex& index,
+                       std::uint32_t slot, std::string& out) const;
 
-  std::vector<FilterPlugin> filters_;
-  std::vector<ScorePlugin> scorers_;
-  // Sum of the scorer weights, accumulated in scorer order.
-  double score_weight_total_ = 0.0;
-  bool has_kind_[kNumFilterKinds] = {};
-  // Indices into filters_ of the opaque filters, in pipeline order.
-  std::vector<std::uint32_t> opaque_;
+  std::vector<FilterFn> filters_;
 };
 
 }  // namespace myrtus::sched

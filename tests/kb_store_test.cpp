@@ -462,16 +462,5 @@ TEST(Registry, PublishTrustBytesEqualTheRecordRoundTrip) {
   }
 }
 
-TEST(Registry, RecentMeanUsesWindow) {
-  Store store;
-  ResourceRegistry reg(store);
-  for (int i = 0; i < 10; ++i) {
-    reg.AppendTelemetry("e0", "util", {i, i < 5 ? 0.0 : 1.0});
-  }
-  EXPECT_DOUBLE_EQ(reg.RecentMean("e0", "util", 5), 1.0);
-  EXPECT_DOUBLE_EQ(reg.RecentMean("e0", "util", 10), 0.5);
-  EXPECT_DOUBLE_EQ(reg.RecentMean("e0", "missing"), 0.0);
-}
-
 }  // namespace
 }  // namespace myrtus::kb

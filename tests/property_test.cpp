@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "kb/cluster.hpp"
+#include "oracle/sched_oracle.hpp"
 #include "security/gcm.hpp"
 #include "security/sha2.hpp"
 #include "sched/controller.hpp"
@@ -257,14 +258,13 @@ class SchedLedgerProperty : public ::testing::TestWithParam<int> {};
 
 // Random bind/evict/delete/preempt/cordon/fail/reconcile sequences: the
 // scheduler ledger and the ComputeNode memory ledger must stay equal, free
-// resources must never wrap negative, and the scan and indexed scheduler
-// paths must agree on every probe verdict.
+// resources must never wrap negative, and the indexed scheduler must agree
+// with the full-scan oracle on every probe verdict.
 TEST_P(SchedLedgerProperty, LedgersAndVerdictsStayConsistentUnderChurn) {
   sim::Engine engine;
   continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
   sched::Cluster cluster(engine, sched::Scheduler::Default());
   for (auto& n : infra.nodes) cluster.AddNode(n.get());
-  const sched::Scheduler scan_sched = sched::Scheduler::Default();
 
   util::Rng rng(static_cast<std::uint64_t>(GetParam()), "sched-ledger");
   std::vector<std::string> live;
@@ -372,14 +372,14 @@ TEST_P(SchedLedgerProperty, LedgersAndVerdictsStayConsistentUnderChurn) {
     }
     EXPECT_EQ(on_nodes, cluster.RunningPods()) << "op " << op;
 
-    // Invariant: both scheduler paths agree on a random probe.
+    // Invariant: the scheduler and the oracle agree on a random probe.
     sched::PodSpec probe;
     probe.name = "probe";
     probe.cpu_request = rng.Uniform(0.1, 3.0);
     probe.mem_request_mb = 16 + rng.NextBounded(512);
     if (rng.NextBool(0.2)) probe.needs_accelerator = true;
     auto indexed = cluster.DryRunSchedule(probe);
-    auto scanned = scan_sched.Schedule(probe, cluster.NodeStates());
+    auto scanned = oracle::ScanSchedule({}, probe, cluster.NodeStates());
     ASSERT_EQ(indexed.ok(), scanned.ok()) << "op " << op;
     if (indexed.ok()) {
       EXPECT_EQ(indexed->node_id, scanned->node_id) << "op " << op;

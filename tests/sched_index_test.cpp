@@ -1,10 +1,10 @@
 // NodeIndex internals (bitmaps, inverted indexes, candidate cache) and the
-// scan-vs-indexed differential: both scheduler paths must produce identical
-// verdicts on randomized fleets, pods, and structural churn.
+// differential against the full-scan oracle: the indexed scheduler must
+// produce the oracle's verdicts, scores and failure messages on randomized
+// fleets, pods, and structural churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "continuum/infrastructure.hpp"
+#include "oracle/sched_oracle.hpp"
 #include "sched/controller.hpp"
 #include "sched/node_index.hpp"
 #include "sched/scheduler.hpp"
@@ -249,36 +250,21 @@ TEST(Cluster, BindBatchIsAdmittedThroughOneCandidateBuild) {
   EXPECT_GE(cluster.index().stats().cache_hits, start.cache_hits + 7);
 }
 
-// --- Scan vs indexed differential -------------------------------------------
+// --- Indexed scheduler vs the full-scan oracle ------------------------------
 
 class SchedDifferential : public ::testing::TestWithParam<int> {};
-
-// The default pipeline's score, written out from the handle's live reads in
-// the kernel's floating-point order. Both scheduler paths share one kernel,
-// so a kernel reading a stale capacity would still agree with itself; it
-// disagrees with this after an operating-point change.
-double ReferenceScore(const PodSpec& pod, const NodeState& n) {
-  const double cap = n.cpu_capacity();
-  const double least = cap <= 0 ? 0.0 : std::max(0.0, n.CpuFree() / cap);
-  const double cpu_frac =
-      (n.cpu_allocated() + pod.cpu_request) / std::max(1e-9, cap);
-  const double mem_frac =
-      static_cast<double>(n.mem_allocated_mb() + pod.mem_request_mb) /
-      std::max<double>(1.0, static_cast<double>(n.mem_capacity_mb()));
-  const double balanced = 1.0 - std::fabs(cpu_frac - mem_frac);
-  double score = 0.0;
-  double total = 0.0;
-  score += 1.0 * least;
-  total += 1.0;
-  score += 0.5 * balanced;
-  total += 0.5;
-  return score / total;
-}
 
 TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()), "sched-diff");
   sim::Engine engine;
+  // An opaque filter that fences off every node for pods named "fenced-*".
+  const std::vector<FilterFn> filters = {
+      [](const PodSpec& pod, const NodeState&) -> std::optional<std::string> {
+        if (pod.name.starts_with("fenced-")) return "fenced by opaque filter";
+        return std::nullopt;
+      }};
   Scheduler sched = Scheduler::Default();
+  for (const FilterFn& f : filters) sched.AddFilter(f);
   Cluster cluster(engine, Scheduler::Default());
   std::vector<std::unique_ptr<ComputeNode>> nodes;
   std::vector<std::string> ids;
@@ -309,6 +295,20 @@ TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
   }
 
   int pod_tag = 0;
+  auto compare = [&](const PodSpec& pod) {
+    auto scan = oracle::ScanSchedule(filters, pod, cluster.NodeStates());
+    auto indexed = sched.Schedule(pod, cluster.index());
+    EXPECT_EQ(scan.ok(), indexed.ok()) << pod.name;
+    if (scan.ok() && indexed.ok()) {
+      EXPECT_EQ(scan->node_id, indexed->node_id) << pod.name;
+      EXPECT_EQ(scan->score, indexed->score) << pod.name;
+    } else if (!scan.ok() && !indexed.ok()) {
+      // Same status, same per-node first-failing-filter reasons.
+      EXPECT_EQ(scan.status().code(), indexed.status().code());
+      EXPECT_EQ(scan.status().message(), indexed.status().message());
+    }
+    return scan.ok() ? std::string() : scan.status().message();
+  };
   auto probe = [&]() {
     PodSpec pod;
     pod.name = "probe-" + std::to_string(pod_tag++);
@@ -321,25 +321,89 @@ TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
     }
     if (rng.NextBool(0.3)) pod.layer_affinity = kLayers[rng.NextBounded(3)];
     if (rng.NextBool(0.4)) pod.node_selector["zone"] = kZones[rng.NextBounded(3)];
+    compare(pod);
+  };
 
-    auto scan = sched.Schedule(pod, cluster.NodeStates());
-    auto indexed = sched.Schedule(pod, cluster.index());
-    ASSERT_EQ(scan.ok(), indexed.ok()) << pod.name;
-    if (scan.ok()) {
-      EXPECT_EQ(scan->node_id, indexed->node_id) << pod.name;
-      EXPECT_EQ(scan->score, indexed->score) << pod.name;
-      EXPECT_EQ(scan->score,
-                ReferenceScore(pod, *cluster.FindNodeState(scan->node_id)))
-          << pod.name;
-    } else {
-      // Same status, same per-node first-failing-filter reasons.
-      EXPECT_EQ(scan.status().code(), indexed.status().code());
-      EXPECT_EQ(scan.status().message(), indexed.status().message());
-    }
+  // Probes no node admits, each built so that some node fails on one given
+  // check; `target` is the text that check's reason must leave in the
+  // oracle's message. Every probe but the opaque one carries a two-key
+  // selector no node matches, so nodes passing the checks before it report
+  // a selector mismatch, on the second key where the first matches.
+  std::map<std::string, bool> hit;
+  auto failing = [&](PodSpec pod, const std::string& target) {
+    pod.name += "-" + std::to_string(pod_tag++);
+    const std::string message = compare(pod);
+    EXPECT_FALSE(message.empty()) << pod.name;
+    hit[target] |= message.find(target) != std::string::npos;
+  };
+  auto failing_probes = [&]() {
+    // One node down, one cordoned, one whose reflected memory exceeds its
+    // capacity; the last two up, and the full one at its fastest operating
+    // point so its cpu fits.
+    const std::size_t k = rng.NextBounded(ids.size());
+    const std::string& down = ids[k];
+    const std::string& cordoned = ids[(k + 1) % ids.size()];
+    const std::string& full = ids[(k + 2) % ids.size()];
+    cluster.FindNodeState(down)->node->SetUp(false);
+    cluster.FindNodeState(cordoned)->node->SetUp(true);
+    cluster.Cordon(cordoned, true);
+    NodeState* full_state = cluster.FindNodeState(full);
+    full_state->node->SetUp(true);
+    cluster.Cordon(full, false);
+    ASSERT_TRUE(full_state->node->SetOperatingPoint(0, 1).ok());
+    ASSERT_TRUE(cluster
+                    .SetReflectedMemAllocation(
+                        full, full_state->mem_capacity_mb() + 64)
+                    .ok());
+
+    PodSpec fenced;
+    fenced.cpu_request = 0.0;
+    fenced.mem_request_mb = 1;
+    fenced.node_selector = {{"zone", kZones[rng.NextBounded(3)]},
+                            {"zz", "none"}};
+    PodSpec pod = fenced;
+    pod.name = "fail-cpu";  // short on memory too: cpu is checked first
+    pod.cpu_request = 1e6;
+    pod.mem_request_mb = 1u << 30;
+    failing(pod, ": insufficient cpu");
+    pod = fenced;
+    pod.name = "fail-memory";
+    pod.mem_request_mb = 1u << 30;
+    failing(pod, ": insufficient memory");
+    pod = fenced;
+    pod.name = "fail-overallocated";
+    failing(pod, "; " + full + ": insufficient memory");
+    pod = fenced;
+    pod.name = "fail-security";  // no accelerator either on most nodes
+    pod.min_security = security::SecurityLevel::kHigh;
+    pod.needs_accelerator = true;
+    failing(pod, ": security level too low");
+    pod = fenced;
+    pod.name = "fail-accelerator";
+    pod.needs_accelerator = true;
+    failing(pod, ": no accelerator");
+    pod = fenced;
+    pod.name = "fail-layer";
+    pod.layer_affinity = kLayers[rng.NextBounded(3)];
+    failing(pod, ": layer mismatch");
+    pod = fenced;
+    pod.name = "fail-down";
+    failing(pod, "; " + down + ": node down");
+    pod = fenced;
+    pod.name = "fail-cordoned";
+    failing(pod, "; " + cordoned + ": cordoned");
+    pod = fenced;
+    pod.name = "fail-selector";
+    failing(pod, ": selector mismatch on zz");
+    pod = fenced;
+    pod.name = "fenced";
+    pod.node_selector.clear();
+    failing(pod, ": fenced by opaque filter");
   };
 
   for (int round = 0; round < 6; ++round) {
     for (int p = 0; p < 10; ++p) probe();
+    failing_probes();
     for (int m = 0; m < 8; ++m) {
       const std::string& id = ids[rng.NextBounded(ids.size())];
       switch (rng.NextBounded(6)) {
@@ -377,6 +441,9 @@ TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
       }
     }
   }
+  for (const auto& [target, seen] : hit) {
+    EXPECT_TRUE(seen) << "no failing probe reported \"" << target << "\"";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedDifferential, ::testing::Range(1, 6));
@@ -384,18 +451,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedDifferential, ::testing::Range(1, 6));
 TEST(SchedDifferential, OpaqueFiltersRunOnBothPaths) {
   sim::Engine engine;
   continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
-  Scheduler sched = Scheduler::Default();
   // Opaque filter: only node ids with an even digit sum pass. The indexed
   // path cannot prune on this; it must still apply it per candidate.
-  sched.AddFilter([](const PodSpec&,
-                     const NodeState& n) -> std::optional<std::string> {
+  const FilterFn even_digit_sum =
+      [](const PodSpec&, const NodeState& n) -> std::optional<std::string> {
     int sum = 0;
     for (char c : n.node->id()) {
       if (c >= '0' && c <= '9') sum += c - '0';
     }
     if (sum % 2 != 0) return "odd digit sum";
     return std::nullopt;
-  });
+  };
+  Scheduler sched = Scheduler::Default();
+  sched.AddFilter(even_digit_sum);
   Cluster cluster(engine, Scheduler::Default());
   for (auto& n : infra.nodes) cluster.AddNode(n.get());
 
@@ -406,7 +474,8 @@ TEST(SchedDifferential, OpaqueFiltersRunOnBothPaths) {
     pod.cpu_request = rng.Uniform(0.1, 2.0);
     pod.mem_request_mb = 16 + rng.NextBounded(512);
     if (rng.NextBool(0.3)) pod.needs_accelerator = true;
-    auto scan = sched.Schedule(pod, cluster.NodeStates());
+    auto scan =
+        oracle::ScanSchedule({even_digit_sum}, pod, cluster.NodeStates());
     auto indexed = sched.Schedule(pod, cluster.index());
     ASSERT_EQ(scan.ok(), indexed.ok());
     if (scan.ok()) {
@@ -424,8 +493,8 @@ TEST(SchedDifferential, OpaqueFiltersRunOnBothPaths) {
 
 TEST(SchedDifferential, ClusterPathsProduceIdenticalPlacements) {
   // Two identical worlds: one binds through the indexed BindPod, the other
-  // through the scan reference (Schedule over NodeStates, then
-  // BindPodToNode on its winner). Every pod must land on the same node.
+  // through the oracle's scan (then BindPodToNode on its winner). Every pod
+  // must land on the same node.
   sim::Engine engine_a;
   sim::Engine engine_b;
   continuum::Infrastructure infra_a =
@@ -436,7 +505,6 @@ TEST(SchedDifferential, ClusterPathsProduceIdenticalPlacements) {
   Cluster scan(engine_b, Scheduler::Default());
   for (auto& n : infra_a.nodes) indexed.AddNode(n.get());
   for (auto& n : infra_b.nodes) scan.AddNode(n.get());
-  const Scheduler scan_sched = Scheduler::Default();
 
   util::Rng rng(11, "sched-diff-paths");
   for (int i = 0; i < 60; ++i) {
@@ -451,7 +519,7 @@ TEST(SchedDifferential, ClusterPathsProduceIdenticalPlacements) {
           static_cast<security::SecurityLevel>(rng.NextBounded(3));
     }
     auto a = indexed.BindPod(pod);
-    auto b = scan_sched.Schedule(pod, scan.NodeStates());
+    auto b = oracle::ScanSchedule({}, pod, scan.NodeStates());
     ASSERT_EQ(a.ok(), b.ok()) << pod.name;
     if (a.ok()) {
       EXPECT_EQ(*a, b->node_id) << pod.name;

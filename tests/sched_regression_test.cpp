@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "continuum/infrastructure.hpp"
+#include "oracle/sched_oracle.hpp"
 #include "sched/controller.hpp"
 #include "sched/scheduler.hpp"
 
@@ -53,8 +54,8 @@ TEST(Regression, OverallocatedNodeReportsZeroFreeMemoryAndRejectsPods) {
   pod.mem_request_mb = 1;
   pod.node_selector["pin"] = "1";
 
-  // The indexed bind and the scan reference must refuse with the same status.
-  auto scanned = Scheduler::Default().Schedule(pod, f.cluster.NodeStates());
+  // The indexed bind and the oracle's scan must refuse with the same status.
+  auto scanned = oracle::ScanSchedule({}, pod, f.cluster.NodeStates());
   ASSERT_FALSE(scanned.ok());
   auto bound = f.cluster.BindPod(pod);
   ASSERT_FALSE(bound.ok());

@@ -44,12 +44,10 @@ bool IsImmediateCallee(const std::string& name) {
 }
 
 /// Parameter types whose callables the scheduler invokes synchronously
-/// (FilterFn/ScoreFn plugins run inside Schedule(), before it returns).
+/// (FilterFn filters run inside Schedule(), before it returns).
 bool IsImmediateParamType(const std::string& decl_text) {
   return FindTokenInRange(decl_text, "FilterFn", 0, decl_text.size()) !=
-             std::string::npos ||
-         FindTokenInRange(decl_text, "ScoreFn", 0, decl_text.size()) !=
-             std::string::npos;
+         std::string::npos;
 }
 
 /// Container members that keep the inserted callable alive.
