@@ -116,7 +116,7 @@ void PrintRecoveryTable(bench::Report& report) {
   std::printf("\n");
 }
 
-enum class TelemetryMode { kDisabled, kEnabled, kEnabledNoRecorder };
+enum class TelemetryMode { kDisabled, kEnabled };
 
 /// Wall-clock latency of MAPE iterations, bucketed into a telemetry
 /// histogram so the table below can quote p50/p95/p99.
@@ -127,10 +127,7 @@ telemetry::Histogram MeasureMapeLatency(TelemetryMode mode, int iterations) {
   util::MustOk(usecases::DeployScenario(scenario, world.cluster, 1));
   world.engine.RunUntil(world.engine.Now() + sim::SimTime::Millis(500));
 
-  telemetry::SetEnabled(mode != TelemetryMode::kDisabled);
-  if (mode == TelemetryMode::kEnabledNoRecorder) {
-    telemetry::Global().recorder.set_enabled(false);
-  }
+  telemetry::SetEnabled(mode == TelemetryMode::kEnabled);
   telemetry::Histogram hist(
       telemetry::Histogram::ExponentialBounds(1e-4, 2.0, 30));  // 0.1 µs..
   for (int i = 0; i < iterations; ++i) {
@@ -153,8 +150,6 @@ void PrintMapeLatencyTable(bench::Report& report) {
       MeasureMapeLatency(TelemetryMode::kDisabled, kIterations);
   const telemetry::Histogram on =
       MeasureMapeLatency(TelemetryMode::kEnabled, kIterations);
-  const telemetry::Histogram no_rec =
-      MeasureMapeLatency(TelemetryMode::kEnabledNoRecorder, kIterations);
 
   std::printf("=== MAPE-K iteration latency (wall-clock, %d iterations) ===\n",
               kIterations);
@@ -168,7 +163,6 @@ void PrintMapeLatencyTable(bench::Report& report) {
                 h.p95(), h.p99(), mean(h));
   };
   row("disabled", off);
-  row("on, no recorder", no_rec);
   row("enabled", on);
   report.AddMetric("mape_iteration_mean_ms", mean(off), "ms",
                    /*higher_is_better=*/false, /*gate=*/false);
@@ -177,15 +171,6 @@ void PrintMapeLatencyTable(bench::Report& report) {
     std::printf("enabled-vs-disabled mean overhead: %+.1f%%\n",
                 overhead * 100.0);
     report.AddMetric("telemetry_overhead_frac", overhead, "fraction",
-                     /*higher_is_better=*/false, /*gate=*/false);
-  }
-  if (no_rec.count() > 0 && no_rec.sum() > 0.0) {
-    // The flight recorder's marginal cost on an instrumented iteration: the
-    // acceptance target is <= 3% on this loop.
-    const double recorder_overhead = mean(on) / mean(no_rec) - 1.0;
-    std::printf("recorder-vs-no-recorder mean overhead: %+.1f%%\n",
-                recorder_overhead * 100.0);
-    report.AddMetric("recorder_overhead_frac", recorder_overhead, "fraction",
                      /*higher_is_better=*/false, /*gate=*/false);
   }
   std::printf("\n");

@@ -17,6 +17,7 @@
 #include "oracle/sched_oracle.hpp"
 #include "security/channel.hpp"
 #include "swarm/placement.hpp"
+#include "telemetry/telemetry.hpp"
 #include "usecases/scenario.hpp"
 
 using namespace myrtus;
@@ -236,6 +237,30 @@ void BM_BB_MonitorSampling(benchmark::State& state) {
   state.counters["registry_keys"] = static_cast<double>(store.size());
 }
 BENCHMARK(BM_BB_MonitorSampling);
+
+/// Host ns for one ScopedSpan start+end on the global tracer: wrapped=0 keeps
+/// the span ring below its default capacity (appending; the ring restarts
+/// outside the timed region before it fills), wrapped=1 runs it full at 64
+/// slots so every span overwrites the oldest.
+void BM_BB_TracerSpan(benchmark::State& state) {
+  const bool wrapped = state.range(0) != 0;
+  telemetry::ResetGlobal();
+  telemetry::SetEnabled(true);
+  telemetry::Tracer& tracer = telemetry::Global().tracer;
+  if (wrapped) tracer.set_span_capacity(64);
+  for (auto _ : state) {
+    if (!wrapped &&
+        tracer.finished().size() + 1 == tracer.finished().capacity()) {
+      state.PauseTiming();
+      tracer.set_span_capacity(telemetry::SpanRing::kDefaultCapacity);
+      state.ResumeTiming();
+    }
+    telemetry::ScopedSpan span("bb.span", "bench");
+  }
+  telemetry::SetEnabled(false);
+  telemetry::ResetGlobal();
+}
+BENCHMARK(BM_BB_TracerSpan)->Arg(0)->Arg(1)->ArgNames({"wrapped"});
 
 // --- Artificial Intelligence ------------------------------------------------------------
 void BM_BB_SwarmPlacementSolve(benchmark::State& state) {

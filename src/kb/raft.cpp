@@ -115,13 +115,9 @@ void RaftNode::BecomeFollower(std::int64_t term) {
     heartbeat_timer_ = {};
     FailPendingProposals(util::Status::Aborted("lost leadership"));
     if (telemetry::Enabled()) {
-      const std::int64_t now_ns = network_.engine().Now().ns;
-      auto& recorder = telemetry::Global().recorder;
-      recorder.RecordEvent("raft.leadership_lost", self_, now_ns);
       // Leadership loss is a canonical "what just happened?" moment: dump the
-      // flight-recorder ring when a dump sink is armed.
-      // LINT: discard(the dump is advisory; the event itself is in the ring)
-      (void)recorder.Trigger("raft.leadership_lost:" + self_, now_ns);
+      // span ring when dumps are armed.
+      telemetry::Global().tracer.Trigger("raft.leadership_lost:" + self_);
     }
   }
   role_ = RaftRole::kFollower;

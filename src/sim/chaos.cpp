@@ -92,14 +92,12 @@ void ChaosController::Inject(const std::string& name) {
     tel.metrics.Add("myrtus_chaos_injections_total", 1.0, {{"target", name}});
     tel.metrics.Set("myrtus_chaos_active_faults",
                     static_cast<double>(active_faults_));
-    // Fault boundary: stamp the ring, annotate whatever span is live, and —
-    // when dumps are armed — snapshot the seconds leading up to the fault.
-    tel.recorder.RecordEvent("chaos.inject", name, engine_.Now().ns);
+    // Fault boundary: annotate whatever span is live and — when dumps are
+    // armed — snapshot the spans leading up to the fault.
     if (tel.tracer.current().valid()) {
       tel.tracer.SetAttribute(tel.tracer.current(), "chaos.inject", name);
     }
-    // LINT: discard(the dump path is advisory; the event is already recorded)
-    (void)tel.recorder.Trigger("chaos.inject:" + name, engine_.Now().ns);
+    tel.tracer.Trigger("chaos.inject:" + name);
   }
 }
 
@@ -116,7 +114,6 @@ void ChaosController::Restore(const std::string& name) {
     tel.metrics.Add("myrtus_chaos_restores_total", 1.0, {{"target", name}});
     tel.metrics.Set("myrtus_chaos_active_faults",
                     static_cast<double>(active_faults_));
-    tel.recorder.RecordEvent("chaos.restore", name, engine_.Now().ns);
     if (tel.tracer.current().valid()) {
       tel.tracer.SetAttribute(tel.tracer.current(), "chaos.restore", name);
     }

@@ -33,7 +33,8 @@ struct ChaosEvent {
 class ChaosController {
  public:
   /// Every transition lands in timeline(); with telemetry enabled it is also
-  /// counted in the metrics registry and stamped into the flight recorder.
+  /// counted in the metrics registry, and each injection fires the tracer's
+  /// fault trigger.
   ChaosController(Engine& engine, std::uint64_t seed);
   /// Scheduled fault events hold a shared liveness guard, not `this`: events
   /// still queued in the engine when the controller dies become inert no-ops

@@ -184,18 +184,11 @@ void SloEngine::Evaluate(std::int64_t now_ns) {
       tel.metrics.Set("myrtus_slo_breached",
                       t.status.state == SloState::kBreach ? 1.0 : 0.0,
                       {{"slo", name}});
-      if (transitioned) {
-        if (breached) {
-          tel.metrics.Add("myrtus_slo_breaches_total", 1.0, {{"slo", name}});
-          tel.recorder.RecordEvent("slo.breach", name, now_ns);
-          // The moment the loop noticed its objective failing is exactly the
-          // flight-recorder moment: dump the ring (when armed).
-          // LINT: discard(the dump path is advisory; breach state is already
-          // recorded in metrics and the ring itself)
-          (void)tel.recorder.Trigger("slo.breach:" + name, now_ns);
-        } else {
-          tel.recorder.RecordEvent("slo.clear", name, now_ns);
-        }
+      if (transitioned && breached) {
+        tel.metrics.Add("myrtus_slo_breaches_total", 1.0, {{"slo", name}});
+        // The moment the loop noticed its objective failing is the moment to
+        // dump the span ring (when armed).
+        tel.tracer.Trigger("slo.breach:" + name);
       }
     }
     if (transitioned && handler_) handler_(name, t.status, breached);

@@ -93,9 +93,8 @@ class SloEngine {
                              std::uint64_t bad_count, std::int64_t now_ns);
 
   /// Recomputes burn rates and applies breach/clear transitions. When
-  /// telemetry is enabled, publishes myrtus_slo_* metrics, records breach /
-  /// clear events in the flight recorder, and fires a recorder dump trigger
-  /// on every new breach.
+  /// telemetry is enabled, publishes myrtus_slo_* metrics and fires the
+  /// tracer's fault trigger on every new breach.
   void Evaluate(std::int64_t now_ns);
 
   [[nodiscard]] const SloStatus* Find(std::string_view name) const;

@@ -1,6 +1,26 @@
 #include "telemetry/span.hpp"
 
+#include <algorithm>
+
+#include "telemetry/export.hpp"
+
 namespace myrtus::telemetry {
+namespace {
+
+/// Filename-safe rendering of a trigger reason ("chaos.inject:link-a" ->
+/// "chaos.inject_link-a").
+std::string SanitizeReason(std::string_view reason) {
+  std::string out;
+  out.reserve(reason.size());
+  for (const char c : reason) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '-' || c == '.';
+    out.push_back(ok ? c : '_');
+  }
+  return out;
+}
+
+}  // namespace
 
 util::Json SpanContext::ToJson() const {
   return util::Json::MakeObject()
@@ -45,24 +65,51 @@ void Tracer::EndSpan(const SpanContext& ctx, std::int64_t end_ns) {
   const auto it = open_.find(ctx.span_id);
   if (it == open_.end()) return;  // already ended or cleared
   it->second.end_ns = end_ns;
-  if (span_sink_) span_sink_(it->second);
-  if (finished_.size() < max_finished_) {
-    finished_.push_back(std::move(it->second));
-  } else {
-    ++dropped_;
-  }
+  finished_.Push(std::move(it->second));
   open_.erase(it);
+}
+
+std::string Tracer::Trigger(std::string_view reason) {
+  ++triggers_;
+  last_trigger_.assign(reason);
+  if (dump_prefix_.empty()) return "";
+  const std::string path = dump_prefix_ + std::to_string(triggers_) + "_" +
+                           SanitizeReason(reason) + ".json";
+  // A failed dump must never abort the run that tripped it; the trigger is
+  // still counted and the empty path tells the caller nothing was written.
+  return WriteChromeTrace(*this, path).ok() ? path : "";
 }
 
 void Tracer::Clear() {
   clock_ = nullptr;
   open_.clear();
-  finished_.clear();
+  // Keeps the ring's storage, so the next world reuses it instead of
+  // growing it again.
+  finished_.Restart(SpanRing::kDefaultCapacity);
+  finished_.dropped_ = 0;
   stack_.clear();
   next_trace_id_ = 1;
   next_span_id_ = 1;
-  max_finished_ = kDefaultMaxFinished;
-  dropped_ = 0;
+  dump_prefix_.clear();
+  triggers_ = 0;
+  last_trigger_.clear();
+}
+
+void SpanRing::Push(SpanRecord&& span) {
+  if (slots_.size() < capacity_) {
+    slots_.push_back(std::move(span));
+    return;
+  }
+  slots_[head_] = std::move(span);
+  head_ = (head_ + 1) % capacity_;
+  ++dropped_;
+}
+
+void SpanRing::Restart(std::size_t capacity) {
+  dropped_ += slots_.size();
+  slots_.clear();
+  capacity_ = std::max<std::size_t>(1, capacity);
+  head_ = 0;
 }
 
 }  // namespace myrtus::telemetry

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -41,7 +42,58 @@ struct SpanRecord {
   std::vector<std::pair<std::string, std::string>> attrs;
 };
 
-/// Span factory + sink. Single-threaded by design, like the simulator it
+/// Bounded store of finished spans, which fault dumps write out: grows like a
+/// vector up to `capacity()`, then each newly ended span overwrites the
+/// oldest. Iterates oldest first, in end order, so a long run keeps the spans
+/// right before its end (or its fault), and `size() + dropped()` is every
+/// span ever ended.
+class SpanRing {
+ public:
+  static constexpr std::size_t kDefaultCapacity = 1u << 18;
+
+  class const_iterator {
+   public:
+    const SpanRecord& operator*() const { return (*ring_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    friend class SpanRing;
+    const_iterator(const SpanRing* ring, std::size_t i) : ring_(ring), i_(i) {}
+    const SpanRing* ring_;
+    std::size_t i_;
+  };
+
+  /// Spans retained (<= capacity()).
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  [[nodiscard]] bool empty() const { return slots_.empty(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  /// Spans overwritten by newer ones, or discarded by a capacity change.
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  /// `i`-th oldest retained span.
+  [[nodiscard]] const SpanRecord& operator[](std::size_t i) const {
+    return slots_[(head_ + i) % slots_.size()];
+  }
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, slots_.size()}; }
+
+ private:
+  friend class Tracer;
+  void Push(SpanRecord&& span);
+  /// Restarts empty at `capacity` (at least 1), keeping the storage;
+  /// retained spans count as dropped.
+  void Restart(std::size_t capacity);
+
+  std::vector<SpanRecord> slots_;
+  std::size_t capacity_ = kDefaultCapacity;
+  std::size_t head_ = 0;  // oldest slot once the ring is full
+  std::uint64_t dropped_ = 0;
+};
+
+/// Span factory + store. Single-threaded by design, like the simulator it
 /// observes. Ids are dense counters, so two runs with the same seed produce
 /// identical traces.
 class Tracer {
@@ -81,37 +133,40 @@ class Tracer {
     return stack_.empty() ? SpanContext{} : stack_.back();
   }
 
-  [[nodiscard]] const std::vector<SpanRecord>& finished() const { return finished_; }
+  [[nodiscard]] const SpanRing& finished() const { return finished_; }
   [[nodiscard]] std::size_t open_spans() const { return open_.size(); }
-  /// Spans discarded after the `max_finished` cap was reached.
-  [[nodiscard]] std::uint64_t dropped_spans() const { return dropped_; }
-  void set_max_finished(std::size_t cap) { max_finished_ = cap; }
+  /// Finished spans the ring no longer holds.
+  [[nodiscard]] std::uint64_t dropped_spans() const { return finished_.dropped(); }
+  /// Restarts the ring empty at `capacity` spans (at least 1).
+  void set_span_capacity(std::size_t capacity) { finished_.Restart(capacity); }
 
-  /// Observer invoked for every span as it ends — even spans the
-  /// `max_finished` cap subsequently discards, so a bounded consumer (the
-  /// flight recorder) still sees the full stream. Survives Clear(): the sink
-  /// is wiring, not data.
-  void set_span_sink(std::function<void(const SpanRecord&)> sink) {
-    span_sink_ = std::move(sink);
-  }
+  /// --- Fault dumps -------------------------------------------------------
+  /// Arms dumps: every Trigger() then writes the ring as a Chrome trace to
+  /// `<prefix><trigger-ordinal>_<sanitized-reason>.json`. Empty disarms.
+  void set_dump_prefix(std::string prefix) { dump_prefix_ = std::move(prefix); }
+  /// Fault boundary hook (chaos injection, Raft leadership loss, SLO breach):
+  /// counts the trigger, keeps its reason and, when armed, dumps the ring. The
+  /// trigger itself never enters the ring. Returns the written path, empty
+  /// when disarmed or the write failed.
+  std::string Trigger(std::string_view reason);
+  [[nodiscard]] std::uint64_t triggers() const { return triggers_; }
+  [[nodiscard]] const std::string& last_trigger() const { return last_trigger_; }
 
-  /// Drops all spans, the context stack, and the installed clock; resets ids
-  /// and restores the default `max_finished` cap. The span sink stays.
+  /// Drops all spans, the context stack, the installed clock and the trigger
+  /// state; resets ids, disarms dumps and restores the default capacity.
   void Clear();
 
  private:
-  static constexpr std::size_t kDefaultMaxFinished = 1u << 18;
-
   std::function<std::int64_t()> clock_;
   std::int64_t clock_generation_ = 0;
-  std::function<void(const SpanRecord&)> span_sink_;
   std::unordered_map<std::uint64_t, SpanRecord> open_;  // by span_id
-  std::vector<SpanRecord> finished_;
+  SpanRing finished_;
   std::vector<SpanContext> stack_;
   std::uint64_t next_trace_id_ = 1;
   std::uint64_t next_span_id_ = 1;
-  std::size_t max_finished_ = kDefaultMaxFinished;
-  std::uint64_t dropped_ = 0;
+  std::string dump_prefix_;
+  std::uint64_t triggers_ = 0;
+  std::string last_trigger_;
 };
 
 /// RAII: pushes an existing context for the current scope (used to restore

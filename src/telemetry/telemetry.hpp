@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "telemetry/metrics.hpp"
-#include "telemetry/recorder.hpp"
 #include "telemetry/span.hpp"
 
 namespace myrtus::telemetry {
@@ -23,9 +22,6 @@ namespace myrtus::telemetry {
 struct Telemetry {
   Tracer tracer;
   MetricsRegistry metrics;
-  /// Bounded ring of recent spans/counters/events (see recorder.hpp). The
-  /// tracer's span sink feeds every finished span into it automatically.
-  FlightRecorder recorder;
 };
 
 /// The process-wide sink.
@@ -39,8 +35,8 @@ inline bool g_enabled = false;
 inline bool Enabled() { return internal::g_enabled; }
 inline void SetEnabled(bool on) { internal::g_enabled = on; }
 
-/// Clears the global tracer (spans, context stack, clock), all metrics, and
-/// the flight recorder. Does not touch the enabled flag.
+/// Clears the global tracer (span ring, context stack, clock, fault-dump
+/// state) and all metrics. Does not touch the enabled flag.
 void ResetGlobal();
 
 /// RAII span on the global tracer: no-op when telemetry is disabled,

@@ -11,11 +11,12 @@
 #include "sched/controller.hpp"
 #include "continuum/infrastructure.hpp"
 #include "swarm/placement.hpp"
-#include "telemetry/recorder.hpp"
+#include "telemetry/span.hpp"
 #include "tosca/yaml.hpp"
 #include "usecases/scenario.hpp"
 
 #include <cmath>
+#include <deque>
 
 namespace myrtus {
 namespace {
@@ -523,57 +524,59 @@ TEST_P(RaftChaosProperty, AcknowledgedWritesSurviveCrashChurn) {
 }
 INSTANTIATE_TEST_SUITE_P(Seeds, RaftChaosProperty, ::testing::Values(1, 2, 3, 7, 13));
 
-// --- Flight recorder invariants ---------------------------------------------
+// --- Span ring invariants ---------------------------------------------------
 
-/// Under a random mix of spans/counters/events at random (monotone) sim
-/// timestamps and random capacity changes, the ring never exceeds its
-/// capacity, the accounting identity total == size + overwritten holds, and
-/// every snapshot is sorted by (at_ns, seq).
-class FlightRecorderProperty : public ::testing::TestWithParam<int> {};
+/// Under random interleavings of span starts and ends at random (monotone)
+/// sim timestamps, with random capacity restarts, the tracer's span ring never
+/// exceeds its capacity, retained + dropped == ended holds after every step,
+/// and the ring iterates oldest first in end order: exactly the newest spans
+/// ended since the last restart, as a bounded model queue keeps them.
+class SpanRingProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(FlightRecorderProperty, BoundedAndSorted) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()), "recorder-prop");
-  telemetry::FlightRecorder rec;
-  rec.set_capacity(1 + rng.NextBounded(64));
+TEST_P(SpanRingProperty, BoundedAndInEndOrder) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()), "span-ring-prop");
+  telemetry::Tracer tracer;
+  tracer.set_span_capacity(1 + rng.NextBounded(64));
+  std::vector<telemetry::SpanContext> open;
+  std::deque<std::uint64_t> model;  // span ids the ring must hold, oldest first
+  std::uint64_t ended = 0;
   std::int64_t now = 0;
   for (int i = 0; i < 2000; ++i) {
     now += static_cast<std::int64_t>(rng.NextBounded(1000));  // may repeat
-    switch (rng.NextBounded(3)) {
-      case 0: {
-        telemetry::SpanRecord span;
-        span.trace_id = 1;
-        span.span_id = static_cast<std::uint64_t>(i) + 1;
-        span.name = "s" + std::to_string(rng.NextBounded(8));
-        span.start_ns = now - static_cast<std::int64_t>(rng.NextBounded(500));
-        span.end_ns = now;
-        rec.RecordSpan(span);
-        break;
-      }
-      case 1:
-        rec.RecordCounter("c" + std::to_string(rng.NextBounded(4)),
-                          rng.Uniform(0.0, 100.0), now);
-        break;
-      default:
-        rec.RecordEvent("e", "detail", now);
+    if (open.empty() || rng.NextBool(0.5)) {
+      const telemetry::SpanContext parent =
+          open.empty() || rng.NextBool(0.3) ? telemetry::SpanContext{}
+                                            : open[rng.NextBounded(open.size())];
+      open.push_back(tracer.StartSpan("s" + std::to_string(rng.NextBounded(8)),
+                                      "prop", parent, now));
+    } else {
+      const std::size_t k = rng.NextBounded(open.size());
+      tracer.EndSpan(open[k], now);
+      model.push_back(open[k].span_id);
+      if (model.size() > tracer.finished().capacity()) model.pop_front();
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+      ++ended;
     }
     if (rng.NextBool(0.01)) {  // occasional live resize restarts the ring
-      rec.set_capacity(1 + rng.NextBounded(64));
+      tracer.set_span_capacity(1 + rng.NextBounded(64));
+      model.clear();
     }
 
-    ASSERT_LE(rec.size(), rec.capacity());
-    ASSERT_EQ(rec.total_recorded(), rec.size() + rec.overwritten());
-  }
-
-  const std::vector<telemetry::FlightRecord> snap = rec.Snapshot();
-  ASSERT_EQ(snap.size(), rec.size());
-  for (std::size_t i = 1; i < snap.size(); ++i) {
-    ASSERT_TRUE(snap[i - 1].at_ns < snap[i].at_ns ||
-                (snap[i - 1].at_ns == snap[i].at_ns &&
-                 snap[i - 1].seq < snap[i].seq))
-        << "snapshot order violated at " << i;
+    const telemetry::SpanRing& ring = tracer.finished();
+    ASSERT_LE(ring.size(), ring.capacity());
+    ASSERT_EQ(ring.size() + tracer.dropped_spans(), ended);
+    ASSERT_EQ(ring.size(), model.size());
+    std::size_t j = 0;
+    std::int64_t last_end = 0;
+    for (const telemetry::SpanRecord& span : ring) {
+      ASSERT_EQ(span.span_id, model[j]) << "step " << i << ", slot " << j;
+      ASSERT_GE(span.end_ns, last_end) << "end order violated at " << j;
+      last_end = span.end_ns;
+      ++j;
+    }
   }
 }
-INSTANTIATE_TEST_SUITE_P(Seeds, FlightRecorderProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, SpanRingProperty,
                          ::testing::Values(1, 2, 3, 11, 29));
 
 }  // namespace

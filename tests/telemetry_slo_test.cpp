@@ -1,6 +1,6 @@
 // SLO engine: burn-rate arithmetic, multi-window (fast AND slow) agreement,
-// breach/clear hysteresis, objective validation, and the breach -> flight
-// recorder / transition-handler plumbing.
+// breach/clear hysteresis, objective validation, and the breach -> fault
+// trigger / transition-handler plumbing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -195,7 +195,7 @@ TEST(SloEngine, TransitionHandlerAndBreachedListFire) {
   EXPECT_FALSE(engine.any_breached());
 }
 
-TEST(SloEngine, BreachLandsInFlightRecorder) {
+TEST(SloEngine, BreachFiresTheFaultTrigger) {
   ResetGlobal();
   SetEnabled(true);
   SloEngine engine;
@@ -205,16 +205,9 @@ TEST(SloEngine, BreachLandsInFlightRecorder) {
   }
   engine.Evaluate(10'000 * kMs);
 
-  auto& recorder = Global().recorder;
-  bool saw_breach = false;
-  bool saw_trigger = false;
-  for (const FlightRecord& r : recorder.Snapshot()) {
-    if (r.name == "slo.breach" && r.detail == "fleet") saw_breach = true;
-    if (r.name == "flight.trigger") saw_trigger = true;
-  }
-  EXPECT_TRUE(saw_breach);
-  EXPECT_TRUE(saw_trigger);
-  EXPECT_EQ(recorder.last_trigger(), "slo.breach:fleet");
+  const Tracer& tracer = Global().tracer;
+  EXPECT_EQ(tracer.triggers(), 1u);
+  EXPECT_EQ(tracer.last_trigger(), "slo.breach:fleet");
   SetEnabled(false);
   ResetGlobal();
 }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "continuum/infrastructure.hpp"
@@ -38,7 +39,7 @@ class TelemetryTest : public ::testing::Test {
   }
 };
 
-const SpanRecord* FindSpan(const std::vector<SpanRecord>& spans,
+const SpanRecord* FindSpan(const SpanRing& spans,
                            const std::string& name) {
   for (const SpanRecord& s : spans) {
     if (s.name == name) return &s;
@@ -96,14 +97,35 @@ TEST_F(TelemetryTest, SpanContextJsonRoundtrip) {
   EXPECT_FALSE(SpanContext::FromJson(util::Json::MakeObject()).valid());
 }
 
+// bench_e2e's deploy_storm hashes `finished().size() + dropped_spans()` and
+// `dropped_spans()` into its sim_digest: the retained count is the capacity,
+// the dropped count everything the ring overwrote.
 TEST_F(TelemetryTest, TracerCapsFinishedSpans) {
   Tracer& tracer = Global().tracer;
-  tracer.set_max_finished(4);
+  EXPECT_EQ(tracer.finished().capacity(), std::size_t{1} << 18);
+  tracer.set_span_capacity(4);
   for (int i = 0; i < 10; ++i) {
-    tracer.EndSpan(tracer.StartSpan("s", "test"));
+    tracer.EndSpan(tracer.StartSpan(std::to_string(i), "test"));
   }
   EXPECT_EQ(tracer.finished().size(), 4u);
   EXPECT_EQ(tracer.dropped_spans(), 6u);
+  std::vector<std::string> kept;
+  for (const SpanRecord& s : tracer.finished()) kept.push_back(s.name);
+  EXPECT_EQ(kept, (std::vector<std::string>{"6", "7", "8", "9"}));
+
+  tracer.Clear();
+  EXPECT_EQ(tracer.finished().size(), 0u);
+  EXPECT_EQ(tracer.dropped_spans(), 0u);
+  EXPECT_EQ(tracer.finished().capacity(), std::size_t{1} << 18);
+
+  tracer.set_span_capacity(4);
+  for (int i = 0; i < 10; ++i) {
+    tracer.EndSpan(tracer.StartSpan("s", "test"));
+  }
+  ResetGlobal();
+  EXPECT_EQ(tracer.finished().size(), 0u);
+  EXPECT_EQ(tracer.dropped_spans(), 0u);
+  EXPECT_EQ(tracer.finished().capacity(), std::size_t{1} << 18);
 }
 
 TEST_F(TelemetryTest, HistogramQuantilesTrackExactValues) {

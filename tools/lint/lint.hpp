@@ -44,17 +44,15 @@ struct Options {
   /// Empty = use <repo_root>/tools/lint/suppressions.txt when present.
   std::string suppressions_path;
   /// Path prefixes where host time/threads are legitimate: bench drivers
-  /// measure wall-clock by design, the telemetry exporters are the designated
-  /// boundary where host timestamps may enter exported artifacts, the flight
-  /// recorder's dump path is the same kind of boundary (ring contents stay
-  /// sim-time stamped; only dump-file metadata may ever touch the host
-  /// clock), and util/parallel is the one sanctioned home for std::thread —
-  /// its fork-join pool guarantees results independent of thread scheduling,
-  /// which is the property the rule exists to protect. Everything else draws
-  /// parallelism through util::ParallelFor/ParallelMap.
+  /// measure wall-clock by design, the telemetry exporters (which also write
+  /// the span ring's fault dumps) are the designated boundary where host
+  /// timestamps may enter exported artifacts, and util/parallel is the one
+  /// sanctioned home for std::thread — its fork-join pool guarantees results
+  /// independent of thread scheduling, which is the property the rule exists
+  /// to protect. Everything else draws parallelism through
+  /// util::ParallelFor/ParallelMap.
   std::vector<std::string> determinism_allowlist = {
-      "bench/", "src/telemetry/export.", "src/telemetry/recorder.",
-      "src/util/parallel."};
+      "bench/", "src/telemetry/export.", "src/util/parallel."};
   /// --changed-only: when true, only findings on `report_paths`
   /// (repo-relative) are reported. The whole scanned set still feeds the
   /// cross-TU analysis, so the reported subset matches a full run exactly.
