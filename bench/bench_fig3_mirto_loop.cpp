@@ -166,13 +166,6 @@ void PrintMapeLatencyTable(bench::Report& report) {
   row("enabled", on);
   report.AddMetric("mape_iteration_mean_ms", mean(off), "ms",
                    /*higher_is_better=*/false, /*gate=*/false);
-  if (off.count() > 0 && off.sum() > 0.0) {
-    const double overhead = mean(on) / mean(off) - 1.0;
-    std::printf("enabled-vs-disabled mean overhead: %+.1f%%\n",
-                overhead * 100.0);
-    report.AddMetric("telemetry_overhead_frac", overhead, "fraction",
-                     /*higher_is_better=*/false, /*gate=*/false);
-  }
   std::printf("\n");
 }
 

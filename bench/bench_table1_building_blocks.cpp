@@ -19,6 +19,7 @@
 #include "swarm/placement.hpp"
 #include "telemetry/telemetry.hpp"
 #include "usecases/scenario.hpp"
+#include "util/units.hpp"
 
 using namespace myrtus;
 
@@ -220,6 +221,12 @@ void BM_BB_PubSubFanout(benchmark::State& state) {
 BENCHMARK(BM_BB_PubSubFanout)->Arg(4)->Arg(32)->ArgNames({"subs"});
 
 // --- Monitoring & Observability -------------------------------------------------------
+// One MAPE iteration after k nodes changed (whole_fleet=0: k = 1, 1: k = every
+// node). The event-driven Monitor observes exactly those k, each observation
+// writing the node record and its utilization and queue_depth samples into
+// the KB registry; an unchanged fleet would time an idle loop.
+// s_per_node_observed is the iteration's host time over the k nodes, so the
+// loop's fixed cost is spread over them.
 void BM_BB_MonitorSampling(benchmark::State& state) {
   sim::Engine engine;
   continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
@@ -231,12 +238,32 @@ void BM_BB_MonitorSampling(benchmark::State& state) {
   config.host = "gw-0";
   mirto::MirtoAgent agent(network, cluster, infra, store,
                           mirto::AuthModule(util::BytesOf("x")), config);
+  const std::size_t changed = state.range(0) != 0 ? infra.nodes.size() : 1;
+  // Settle first: a fresh agent observes the whole fleet, and its first
+  // Execute moves idle devices to their eco operating point, which marks
+  // those nodes changed again.
+  std::uint64_t observed_before = 0;
+  do {
+    observed_before = agent.stats().nodes_observed;
+    agent.RunMapeIteration();
+  } while (agent.stats().nodes_observed != observed_before);
   for (auto _ : state) {
+    for (std::size_t i = 0; i < changed; ++i) infra.nodes[i]->MarkChanged();
     agent.RunMapeIteration();
   }
+  const std::uint64_t observed =
+      util::SubSat(agent.stats().nodes_observed, observed_before);
+  if (observed != changed * state.iterations()) {
+    state.SkipWithError("the Monitor observed other nodes than the changed ones");
+  }
+  state.counters["nodes_observed_per_iter"] =
+      static_cast<double>(observed) / static_cast<double>(state.iterations());
+  state.counters["s_per_node_observed"] =
+      benchmark::Counter(static_cast<double>(observed),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
   state.counters["registry_keys"] = static_cast<double>(store.size());
 }
-BENCHMARK(BM_BB_MonitorSampling);
+BENCHMARK(BM_BB_MonitorSampling)->Arg(0)->Arg(1)->ArgNames({"whole_fleet"});
 
 /// Host ns for one ScopedSpan start+end on the global tracer: wrapped=0 keeps
 /// the span ring below its default capacity (appending; the ring restarts

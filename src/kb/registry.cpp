@@ -250,17 +250,17 @@ std::vector<std::pair<std::string, util::Json>> ResourceRegistry::ListWorkloads(
 
 void ResourceRegistry::AppendTelemetry(const std::string& node_id,
                                        const std::string& metric,
-                                       TelemetrySample sample,
-                                       std::size_t max_samples) {
+                                       TelemetrySample sample) {
   const std::string key = TelemetryKey(node_id, metric);
   util::Json point = util::Json::MakeObject();
   point.Set("t", sample.at_ns).Set("v", sample.value);
   const auto append = [&](util::Json& series) {
     auto& items = series.mutable_items();
     items.push_back(std::move(point));
-    if (items.size() > max_samples) {
+    if (items.size() > kTelemetrySamples) {
       items.erase(items.begin(),
-                  items.begin() + static_cast<long>(items.size() - max_samples));
+                  items.begin() +
+                      static_cast<long>(items.size() - kTelemetrySamples));
     }
     return true;
   };

@@ -92,10 +92,12 @@ class ResourceRegistry {
   [[nodiscard]] util::StatusOr<util::Json> GetWorkload(const std::string& workload_id) const;
   [[nodiscard]] std::vector<std::pair<std::string, util::Json>> ListWorkloads() const;
 
-  /// Appends a telemetry sample in place, keeping at most `max_samples` per
-  /// series.
+  /// Samples kept per telemetry series; AppendTelemetry drops the oldest.
+  static constexpr std::size_t kTelemetrySamples = 256;
+
+  /// Appends a telemetry sample in place.
   void AppendTelemetry(const std::string& node_id, const std::string& metric,
-                       TelemetrySample sample, std::size_t max_samples = 256);
+                       TelemetrySample sample);
   [[nodiscard]] std::vector<TelemetrySample> GetTelemetry(
       const std::string& node_id, const std::string& metric) const;
 

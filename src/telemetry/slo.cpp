@@ -200,11 +200,6 @@ const SloStatus* SloEngine::Find(std::string_view name) const {
   return it == slos_.end() ? nullptr : &it->second.status;
 }
 
-const SloObjective* SloEngine::FindObjective(std::string_view name) const {
-  const auto it = slos_.find(name);
-  return it == slos_.end() ? nullptr : &it->second.objective;
-}
-
 std::vector<std::string> SloEngine::Breached() const {
   std::vector<std::string> out;
   for (const auto& [name, t] : slos_) {

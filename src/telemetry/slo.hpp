@@ -10,8 +10,8 @@
 //
 // This is the closure of the MAPE-K Monitor phase: PR-1 telemetry *emits*
 // observations, the SLO engine *consumes* them into alert state that the
-// MIRTO Analyze step and the MonitoringService feed back into the knowledge
-// base — the loop observes itself.
+// MIRTO Analyze step feeds back into the knowledge base — the loop observes
+// itself.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +98,6 @@ class SloEngine {
   void Evaluate(std::int64_t now_ns);
 
   [[nodiscard]] const SloStatus* Find(std::string_view name) const;
-  [[nodiscard]] const SloObjective* FindObjective(std::string_view name) const;
   /// Names of currently-breached objectives, sorted.
   [[nodiscard]] std::vector<std::string> Breached() const;
   [[nodiscard]] std::size_t objective_count() const { return slos_.size(); }

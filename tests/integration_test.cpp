@@ -1,10 +1,9 @@
-// Full-stack integration: the three pillars plus the gateway, monitoring,
-// image registry, and lifecycle management working together over one
-// simulated continuum — the closest thing to the paper's M18 "partial
-// integration of all the pillars' technologies".
+// Full-stack integration: the three pillars plus the gateway, the agent's
+// MAPE-K monitoring, image registry, and lifecycle management working
+// together over one simulated continuum — the closest thing to the paper's
+// M18 "partial integration of all the pillars' technologies".
 #include <gtest/gtest.h>
 
-#include "continuum/monitor.hpp"
 #include "mirto/engine.hpp"
 #include "net/gateway.hpp"
 #include "sched/image_registry.hpp"
@@ -17,7 +16,7 @@ using continuum::Layer;
 using sim::SimTime;
 
 TEST(Integration, FullStackLifecycle) {
-  // ---- Pillar 1: infrastructure, network, gateway, monitoring, registry.
+  // ---- Pillar 1: infrastructure, network, KB, image registry.
   sim::Engine engine;
   continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
   net::Topology topo = infra.topology;
@@ -25,9 +24,6 @@ TEST(Integration, FullStackLifecycle) {
   net::Network network(engine, std::move(topo), 2026);
 
   kb::Store kb_store;
-  kb::ResourceRegistry registry(kb_store);
-  continuum::MonitoringService monitor(engine, infra, registry);
-  monitor.Start(SimTime::Millis(200));
 
   sched::ImageRegistry images;
   const util::Bytes base_layer = util::BytesOf(std::string(1 << 16, 'L'));
@@ -90,7 +86,7 @@ TEST(Integration, FullStackLifecycle) {
   ASSERT_TRUE(updated);
   EXPECT_EQ(cluster.RunningPods(), pods_v1) << "update must not duplicate pods";
 
-  // ---- Run traffic; the monitor sees utilization; KB fills up.
+  // ---- Run traffic; the agent's Monitor records utilization in the KB.
   sched::Cluster stage_cluster(engine, sched::Scheduler::Default());
   for (auto& n : infra.nodes) stage_cluster.AddNode(n.get());
   ASSERT_TRUE(usecases::DeployScenario(scenario, stage_cluster, 3).ok());
@@ -98,7 +94,7 @@ TEST(Integration, FullStackLifecycle) {
   pipeline.StartStream(engine.Now() + SimTime::Seconds(3), 9);
   engine.RunUntil(engine.Now() + SimTime::Seconds(5));
   EXPECT_GT(pipeline.kpis().completed, 20u);
-  EXPECT_FALSE(registry.GetTelemetry("edge-1", "utilization").empty());
+  EXPECT_FALSE(agent.registry().GetTelemetry("edge-1", "utilization").empty());
 
   // ---- Undeploy through the API; the registry forgets the workloads.
   bool undeployed = false;
@@ -126,12 +122,11 @@ TEST(Integration, FullStackLifecycle) {
   engine.RunUntil(engine.Now() + SimTime::Seconds(1));
   EXPECT_TRUE(second_failed);
   agent.Stop();
-  monitor.Stop();
 }
 
 TEST(Integration, GatewayFeedsMonitoredContinuum) {
-  // Sensors -> gateway aggregation -> fog analytics host, while monitoring
-  // watches the fleet: the §III data-management picture.
+  // Sensors -> gateway aggregation -> fog analytics host: the §III
+  // data-management picture.
   sim::Engine engine;
   continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
   net::Topology topo = infra.topology;

@@ -354,7 +354,7 @@ TEST(Registry, TelemetryRingBuffer) {
   Store store;
   ResourceRegistry reg(store);
   for (int i = 0; i < 300; ++i) {
-    reg.AppendTelemetry("e0", "latency_ms", {i, static_cast<double>(i)}, 256);
+    reg.AppendTelemetry("e0", "latency_ms", {i, static_cast<double>(i)});
   }
   auto series = reg.GetTelemetry("e0", "latency_ms");
   ASSERT_EQ(series.size(), 256u);

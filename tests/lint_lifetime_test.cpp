@@ -110,7 +110,6 @@ TEST(DeferredSinkTable, SeedsCoverTheAnnotatedProjectSinks) {
   EXPECT_TRUE(b.table.IsSink("Call", 4));
   EXPECT_TRUE(b.table.IsSink("RegisterTarget", 1));
   EXPECT_TRUE(b.table.IsSink("RegisterTarget", 2));
-  EXPECT_TRUE(b.table.IsSink("set_span_sink", 0));
   EXPECT_FALSE(b.table.IsSink("ScheduleAt", 0));
   EXPECT_FALSE(b.table.IsSink("ParallelFor", 1));
 }

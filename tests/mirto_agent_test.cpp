@@ -147,6 +147,8 @@ TEST(MirtoAgent, MapeLoopPopulatesRegistry) {
   EXPECT_EQ(nodes.size(), f.infra.nodes.size());
   EXPECT_FALSE(
       f.agent->registry().GetTelemetry("edge-0", "utilization").empty());
+  EXPECT_FALSE(
+      f.agent->registry().GetTelemetry("cloud-0", "queue_depth").empty());
 }
 
 TEST(MirtoAgent, MapeLoopRecoversFromNodeFailure) {

@@ -1,8 +1,7 @@
-// Network slicing (priority classes at links), the smart-gateway protocol
-// bridge / aggregator / adapters, and the monitoring & alerting service.
+// Network slicing (priority classes at links) and the smart-gateway protocol
+// bridge / aggregator / adapters.
 #include <gtest/gtest.h>
 
-#include "continuum/monitor.hpp"
 #include "net/gateway.hpp"
 #include "net/transport.hpp"
 
@@ -213,71 +212,6 @@ TEST(SmartGateway, UnroutableAggregationTargetIsCountedNotSilent) {
   EXPECT_EQ(f.gateway->aggregated_in(), 4u);
   EXPECT_EQ(f.gateway->batches_out(), 0u) << "a dropped batch never went out";
   EXPECT_EQ(f.gateway->upstream_send_failures(), 1u);
-}
-
-TEST(Monitoring, SamplesTelemetryAndFiresAlerts) {
-  sim::Engine engine;
-  continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
-  kb::Store store;
-  kb::ResourceRegistry registry(store);
-  continuum::MonitoringService monitor(engine, infra, registry);
-
-  std::vector<continuum::Alert> alerts;
-  ASSERT_TRUE(monitor
-                  .AddAlertRule("queue_depth", 4.0,
-                                [&](const continuum::Alert& a) {
-                                  alerts.push_back(a);
-                                })
-                  .ok());
-  monitor.Start(SimTime::Millis(100));
-
-  // Overload edge-0: many long tasks stack up.
-  continuum::ComputeNode* edge = infra.FindNode("edge-0");
-  continuum::TaskDemand task;
-  task.cycles = 500'000'000;
-  for (int i = 0; i < 10; ++i) edge->Submit(task, 0, nullptr);
-  engine.RunUntil(SimTime::Seconds(1));
-  monitor.Stop();
-
-  EXPECT_GT(monitor.samples_taken(), 5u);
-  EXPECT_FALSE(registry.GetTelemetry("edge-0", "utilization").empty());
-  EXPECT_FALSE(registry.GetTelemetry("cloud-0", "queue_depth").empty());
-  ASSERT_FALSE(alerts.empty());
-  EXPECT_EQ(alerts[0].node_id, "edge-0");
-  EXPECT_EQ(alerts[0].metric, "queue_depth");
-  EXPECT_GT(alerts[0].value, 4.0);
-}
-
-TEST(Monitoring, NoAlertsBelowThreshold) {
-  sim::Engine engine;
-  continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
-  kb::Store store;
-  kb::ResourceRegistry registry(store);
-  continuum::MonitoringService monitor(engine, infra, registry);
-  int fired = 0;
-  ASSERT_TRUE(monitor
-                  .AddAlertRule("utilization", 0.99,
-                                [&](const continuum::Alert&) { ++fired; })
-                  .ok());
-  monitor.Start(SimTime::Millis(100));
-  engine.RunUntil(SimTime::Seconds(1));  // idle fleet
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Monitoring, RejectsUnknownAlertMetric) {
-  sim::Engine engine;
-  continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
-  kb::Store store;
-  kb::ResourceRegistry registry(store);
-  continuum::MonitoringService monitor(engine, infra, registry);
-  const util::Status bad =
-      monitor.AddAlertRule("utilisation", 1.0, [](const continuum::Alert&) {});
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("utilisation"), std::string::npos);
-  // The rejected rule must not have been installed.
-  monitor.SampleOnce();
-  EXPECT_EQ(monitor.alerts_fired(), 0u);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 //     outcome per node per iteration;
 //   - the two default SLOs, from its own SloEngine fed one availability
 //     observation per node and one latency observation per tracked pod, and
-//     the verdicts the agent publishes under /registry/slo/;
+//     the verdicts the agent publishes under /slo/;
 //   - the operating-point changes of Plan, from its own NodeManager run over
 //     every up node.
 //

@@ -15,7 +15,7 @@ struct SeedSink {
   const char* name;
   int arg;
 };
-constexpr std::array<SeedSink, 14> kSeedSinks = {{
+constexpr std::array<SeedSink, 13> kSeedSinks = {{
     {"ScheduleAt", 1},       // sim::Engine
     {"ScheduleAfter", 1},    // sim::Engine
     {"SchedulePeriodic", 1}, // sim::Engine
@@ -26,7 +26,6 @@ constexpr std::array<SeedSink, 14> kSeedSinks = {{
     {"Propose", 1},          // continuum::RaftNode
     {"RegisterTarget", 1},   // sim::ChaosController inject hook
     {"RegisterTarget", 2},   // sim::ChaosController restore hook
-    {"set_span_sink", 0},    // telemetry span exporter
     {"Attach", 1},           // net::Transport datagram handler
     {"RegisterRpc", 2},      // net::Transport
     {"RegisterAsyncRpc", 2}, // net::Transport

@@ -128,7 +128,7 @@ const std::map<std::string, std::vector<std::string>>& DirectDeps() {
       {"security", {"util"}},
       {"net", {"sim", "util"}},
       {"kb", {"net", "sim", "util"}},
-      {"continuum", {"kb", "net", "security", "sim", "util"}},
+      {"continuum", {"net", "security", "sim", "util"}},
       {"sched", {"continuum", "security", "util"}},
       {"tosca", {"sched", "security", "util"}},
       {"swarm", {"sim", "util"}},
