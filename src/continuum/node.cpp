@@ -53,6 +53,20 @@ void ComputeNode::RefreshCpuCapacity() {
              d.active_point().speedup * d.active_point().clock_ghz;
   }
   cpu_capacity_ = total;
+  NotifyPlacementWatchers();
+}
+
+void ComputeNode::AddPlacementWatcher(std::weak_ptr<PlacementWatcher> watcher,
+                                      std::uint32_t slot) {
+  std::erase_if(placement_watchers_,
+                [](const auto& entry) { return entry.first.expired(); });
+  placement_watchers_.emplace_back(std::move(watcher), slot);
+}
+
+void ComputeNode::NotifyPlacementWatchers() {
+  for (const auto& [watcher, slot] : placement_watchers_) {
+    if (const auto live = watcher.lock()) live->OnPlacementInputChanged(slot);
+  }
 }
 
 util::Status ComputeNode::ReserveMemory(std::uint64_t mb) {

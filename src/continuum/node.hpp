@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "continuum/device.hpp"
@@ -73,9 +74,27 @@ class ComputeNode {
   /// Node availability (failure injection). Down nodes reject submissions.
   void SetUp(bool up) {
     up_ = up;
+    NotifyPlacementWatchers();
     MarkChanged();
   }
   [[nodiscard]] bool up() const { return up_; }
+
+  /// --- Placement-input watch -------------------------------------------
+  /// Told a node's slot whenever up() or CpuCapacity() may have changed:
+  /// from SetUp, AddDevice and SetOperatingPoint only, not from the task and
+  /// memory traffic that MarkChanged also reports. A scheduler index keeps
+  /// its cached rankings fresh through it.
+  class PlacementWatcher {
+   public:
+    virtual void OnPlacementInputChanged(std::uint32_t slot) = 0;
+
+   protected:
+    ~PlacementWatcher() = default;
+  };
+  /// Registers `watcher` under `slot`, the node's slot in the watcher's
+  /// index. Held weakly: a watcher that is gone is skipped, and pruned here.
+  void AddPlacementWatcher(std::weak_ptr<PlacementWatcher> watcher,
+                           std::uint32_t slot);
 
   /// --- Change-epoch observation ----------------------------------------
   /// Monotonic counter bumped on every observable mutation: up/down flips,
@@ -117,6 +136,7 @@ class ComputeNode {
 
  private:
   void RefreshCpuCapacity();
+  void NotifyPlacementWatchers();
 
   sim::Engine& engine_;
   // Read for every scheduling candidate; kept together on the first line.
@@ -139,6 +159,8 @@ class ComputeNode {
   double total_energy_mj_ = 0.0;
   std::uint64_t change_epoch_ = 0;
   ChangeHook change_hook_;
+  std::vector<std::pair<std::weak_ptr<PlacementWatcher>, std::uint32_t>>
+      placement_watchers_;
 };
 
 }  // namespace myrtus::continuum

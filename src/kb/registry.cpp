@@ -251,21 +251,32 @@ std::vector<std::pair<std::string, util::Json>> ResourceRegistry::ListWorkloads(
 void ResourceRegistry::AppendTelemetry(const std::string& node_id,
                                        const std::string& metric,
                                        TelemetrySample sample) {
+  // A series is {"head": h, "t": [...], "v": [...]}: a ring of at most
+  // kTelemetrySamples points, point k being (t[k], v[k]), whose oldest is at
+  // h once it is full. A full ring overwrites its oldest point in place, so
+  // an append moves and allocates nothing.
   const std::string key = TelemetryKey(node_id, metric);
-  util::Json point = util::Json::MakeObject();
-  point.Set("t", sample.at_ns).Set("v", sample.value);
-  const auto append = [&](util::Json& series) {
-    auto& items = series.mutable_items();
-    items.push_back(std::move(point));
-    if (items.size() > kTelemetrySamples) {
-      items.erase(items.begin(),
-                  items.begin() +
-                      static_cast<long>(items.size() - kTelemetrySamples));
+  const auto append = [&sample](util::Json& series) {
+    util::Json::Object& fields = series.mutable_fields();
+    util::Json::Array& times = fields["t"].mutable_items();
+    util::Json::Array& values = fields["v"].mutable_items();
+    if (times.size() < kTelemetrySamples) {
+      times.emplace_back(sample.at_ns);
+      values.emplace_back(sample.value);
+      return true;
     }
+    util::Json& head = fields["head"];
+    const auto oldest = static_cast<std::size_t>(head.as_int());
+    times[oldest] = sample.at_ns;
+    values[oldest] = sample.value;
+    head = static_cast<std::int64_t>((oldest + 1) % kTelemetrySamples);
     return true;
   };
   if (!store_.Update(key, append)) {
-    util::Json series = util::Json::MakeArray();
+    util::Json series = util::Json::MakeObject()
+                            .Set("head", std::int64_t{0})
+                            .Set("t", util::Json::MakeArray())
+                            .Set("v", util::Json::MakeArray());
     append(series);
     store_.Put(key, std::move(series));
   }
@@ -276,8 +287,13 @@ std::vector<TelemetrySample> ResourceRegistry::GetTelemetry(
   std::vector<TelemetrySample> out;
   auto kv = store_.Get(TelemetryKey(node_id, metric));
   if (!kv.ok()) return out;
-  for (const util::Json& item : kv->value.items()) {
-    out.push_back(TelemetrySample{item.at("t").as_int(), item.at("v").as_double()});
+  const util::Json::Array& times = kv->value.at("t").items();
+  const util::Json::Array& values = kv->value.at("v").items();
+  const auto head = static_cast<std::size_t>(kv->value.at("head").as_int());
+  out.reserve(times.size());
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    const std::size_t at = (head + k) % times.size();
+    out.push_back(TelemetrySample{times[at].as_int(), values[at].as_double()});
   }
   return out;
 }

@@ -92,10 +92,12 @@ class ResourceRegistry {
   [[nodiscard]] util::StatusOr<util::Json> GetWorkload(const std::string& workload_id) const;
   [[nodiscard]] std::vector<std::pair<std::string, util::Json>> ListWorkloads() const;
 
-  /// Samples kept per telemetry series; AppendTelemetry drops the oldest.
+  /// Samples kept per telemetry series; AppendTelemetry overwrites the
+  /// oldest.
   static constexpr std::size_t kTelemetrySamples = 256;
 
-  /// Appends a telemetry sample in place.
+  /// Appends a telemetry sample in place, in O(1): one revision bump and one
+  /// kPut. GetTelemetry returns the series oldest first.
   void AppendTelemetry(const std::string& node_id, const std::string& metric,
                        TelemetrySample sample);
   [[nodiscard]] std::vector<TelemetrySample> GetTelemetry(

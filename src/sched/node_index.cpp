@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <span>
 
 namespace myrtus::sched {
 namespace {
@@ -28,7 +30,74 @@ std::string LabelKey(const std::string& key, const std::string& value) {
   return out;
 }
 
+// Score weights: least-allocated counts double the balanced score.
+constexpr double kLeastAllocatedWeight = 1.0;
+constexpr double kBalancedWeight = 0.5;
+
 }  // namespace
+
+/// The slots whose score inputs changed, in order. Written by the ledger
+/// mutators and by the nodes (liveness, cpu capacity); read by the ranked
+/// classes, each from the position it last synced to. It keeps fewer than
+/// 2 * max(64, fleet) entries: a class that fell further behind than the
+/// front it drops has more to replay than it has leaves, and rescores them
+/// all instead. Structural changes clear it with the classes. A slot equal
+/// to the last entry is not appended again unless some class has read that
+/// entry: every class still to replay it reads the slot's current state
+/// (evicting a down node's pods would otherwise log it once per pod).
+class NodeIndex::ChangeLog final
+    : public continuum::ComputeNode::PlacementWatcher {
+ public:
+  void OnPlacementInputChanged(std::uint32_t slot) override { Append(slot); }
+  void Append(std::uint32_t slot) {
+    if (!entries_.empty() && entries_.back() == slot && read_ < end()) return;
+    entries_.push_back(slot);
+    if (entries_.size() >= 2 * keep_) {
+      entries_.erase(entries_.begin(),
+                     entries_.begin() + static_cast<std::ptrdiff_t>(keep_));
+      base_ += keep_;
+    }
+  }
+  /// Forgets every entry; positions keep counting.
+  void Clear() {
+    base_ = end();
+    entries_.clear();
+  }
+  void SetFleet(std::size_t fleet) { keep_ = std::max<std::size_t>(64, fleet); }
+  [[nodiscard]] std::uint64_t end() const { return base_ + entries_.size(); }
+  /// Marks everything appended so far read; returns the end position.
+  std::uint64_t Read() {
+    read_ = end();
+    return read_;
+  }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// The entries from `position` on; none when that part was dropped.
+  [[nodiscard]] std::optional<std::span<const std::uint32_t>> Since(
+      std::uint64_t position) const {
+    if (position < base_) return std::nullopt;
+    return std::span(entries_).subspan(position - base_);
+  }
+
+ private:
+  std::vector<std::uint32_t> entries_;
+  std::uint64_t base_ = 0;  // position of entries_[0]
+  std::uint64_t read_ = 0;  // end() when a class last synced
+  std::size_t keep_ = 64;
+};
+
+void RankedCandidates::ExcludeBest() {
+  const std::optional<std::uint32_t> leaf = tree_.Top();
+  if (!leaf) return;
+  excluded_.emplace_back(*leaf, tree_.key(*leaf));
+  tree_.Rekey(*leaf, RankTree::kAbsent);
+}
+
+void RankedCandidates::RestoreExcluded() {
+  for (const auto& [leaf, key] : excluded_) tree_.Rekey(leaf, key);
+  excluded_.clear();
+}
+
+NodeIndex::NodeIndex() : change_log_(std::make_shared<ChangeLog>()) {}
 
 std::size_t Bitmap::Count() const {
   std::size_t n = 0;
@@ -111,6 +180,8 @@ NodeState& NodeIndex::Add(continuum::ComputeNode* node,
     label_bitmap.Set(slot);
   }
 
+  change_log_->SetFleet(bits);
+  node->AddPlacementWatcher(change_log_, slot);
   InvalidateCandidates();
   return state;
 }
@@ -125,10 +196,26 @@ const NodeState* NodeIndex::Find(const std::string& node_id) const {
   return it == id_to_slot_.end() ? nullptr : &arena_[it->second];
 }
 
+double NodeIndex::Score(std::uint32_t slot, double cpu_request,
+                        std::uint64_t mem_request_mb) const {
+  const double cap = nodes_[slot]->CpuCapacity();
+  const double cpu_allocated = cpu_allocated_[slot];
+  const double least =
+      cap <= 0 ? 0.0 : std::max(0.0, (cap - cpu_allocated) / cap);
+  const double cpu_frac = (cpu_allocated + cpu_request) / std::max(1e-9, cap);
+  const double mem_frac =
+      static_cast<double>(mem_allocated_mb_[slot] + mem_request_mb) /
+      std::max<double>(1.0, static_cast<double>(mem_capacity_mb_[slot]));
+  const double balanced = 1.0 - std::fabs(cpu_frac - mem_frac);
+  return (0.0 + kLeastAllocatedWeight * least + kBalancedWeight * balanced) /
+         (kLeastAllocatedWeight + kBalancedWeight);
+}
+
 void NodeIndex::AddAllocation(std::uint32_t slot, double cpu,
                               std::uint64_t mem_mb) {
   cpu_allocated_[slot] += cpu;
   mem_allocated_mb_[slot] += mem_mb;
+  change_log_->Append(slot);
 }
 
 void NodeIndex::SubAllocation(std::uint32_t slot, double cpu,
@@ -137,14 +224,17 @@ void NodeIndex::SubAllocation(std::uint32_t slot, double cpu,
   // below the sum of committed amounts that are released later.
   cpu_allocated_[slot] = std::max(0.0, cpu_allocated_[slot] - cpu);
   mem_allocated_mb_[slot] -= std::min(mem_allocated_mb_[slot], mem_mb);
+  change_log_->Append(slot);
 }
 
 void NodeIndex::SetCpuAllocation(std::uint32_t slot, double cpu) {
   cpu_allocated_[slot] = cpu;
+  change_log_->Append(slot);
 }
 
 void NodeIndex::SetMemAllocation(std::uint32_t slot, std::uint64_t mem_mb) {
   mem_allocated_mb_[slot] = mem_mb;
+  change_log_->Append(slot);
 }
 
 void NodeIndex::SetCordoned(std::uint32_t slot, bool cordoned) {
@@ -177,7 +267,11 @@ void NodeIndex::SetLabel(std::uint32_t slot, const std::string& key,
 }
 
 const Bitmap& NodeIndex::Candidates(const CandidateQuery& q) const {
-  const std::string key = q.CacheKey();
+  return CandidatesFor(q.CacheKey(), q);
+}
+
+const Bitmap& NodeIndex::CandidatesFor(const std::string& key,
+                                       const CandidateQuery& q) const {
   if (const auto it = candidate_cache_.find(key);
       it != candidate_cache_.end()) {
     ++stats_.cache_hits;
@@ -212,7 +306,88 @@ const Bitmap& NodeIndex::Candidates(const CandidateQuery& q) const {
   return candidate_cache_.emplace(key, std::move(out)).first->second;
 }
 
+RankedCandidates& NodeIndex::Ranked(const CandidateQuery& q,
+                                     double cpu_request,
+                                     std::uint64_t mem_request_mb) const {
+  const std::string key = q.CacheKey();
+  const auto cpu_bits = std::bit_cast<std::uint64_t>(cpu_request);
+  RankedCandidates* ranked = nullptr;
+  for (const auto& c : ranked_) {
+    if (std::bit_cast<std::uint64_t>(c->cpu_request_) == cpu_bits &&
+        c->mem_request_mb_ == mem_request_mb &&
+        c->query_key_ == key) {
+      ranked = c.get();
+      break;
+    }
+  }
+  if (ranked != nullptr) {
+    ++stats_.rank_hits;
+    // Replay the changes since the last read; past one per leaf, rescoring
+    // every leaf is cheaper.
+    const auto changes = change_log_->Since(ranked->synced_);
+    if (!changes || changes->size() > ranked->slots_.size()) {
+      Rescore(*ranked);
+    } else {
+      for (const std::uint32_t slot : *changes) {
+        const auto it = std::lower_bound(ranked->slots_.begin(),
+                                         ranked->slots_.end(), slot);
+        if (it == ranked->slots_.end() || *it != slot) continue;
+        ranked->tree_.Rekey(
+            static_cast<std::size_t>(it - ranked->slots_.begin()),
+            RankKey(*ranked, slot));
+      }
+    }
+  } else {
+    ++stats_.rank_builds;
+    if (ranked_.size() < kRankClasses) {
+      ranked = ranked_.emplace_back(std::make_unique<RankedCandidates>()).get();
+    } else {
+      ranked = std::min_element(ranked_.begin(), ranked_.end(),
+                                [](const auto& a, const auto& b) {
+                                  return a->last_used_ < b->last_used_;
+                                })
+                   ->get();
+    }
+    ranked->cpu_request_ = cpu_request;
+    ranked->mem_request_mb_ = mem_request_mb;
+    ranked->query_key_ = key;
+    ranked->slots_.clear();
+    CandidatesFor(key, q).ForEachSet([&](std::size_t slot) {
+      ranked->slots_.push_back(static_cast<std::uint32_t>(slot));
+    });
+    Rescore(*ranked);
+  }
+  ranked->synced_ = change_log_->Read();
+  ranked->last_used_ = ++rank_clock_;
+  return *ranked;
+}
+
+std::size_t NodeIndex::change_log_length() const { return change_log_->size(); }
+
+double NodeIndex::RankKey(const RankedCandidates& ranked,
+                          std::uint32_t slot) const {
+  const double cpu = ranked.cpu_request_;
+  const std::uint64_t mem = ranked.mem_request_mb_;
+  if (!nodes_[slot]->up() || CpuShort(slot, cpu) || MemShort(slot, mem)) {
+    return RankTree::kAbsent;
+  }
+  const double score = Score(slot, cpu, mem);
+  return score > -1.0 ? score : RankTree::kAbsent;
+}
+
+void NodeIndex::Rescore(RankedCandidates& ranked) const {
+  ranked.tree_.Reset(ranked.slots_.size());
+  for (std::size_t leaf = 0; leaf < ranked.slots_.size(); ++leaf) {
+    ranked.tree_.SetKey(leaf, RankKey(ranked, ranked.slots_[leaf]));
+  }
+  ranked.tree_.Rebuild();
+}
+
 void NodeIndex::InvalidateCandidates() {
+  // Structural changes move candidate sets, so the ranked classes built on
+  // them go too, and the log that fed them.
+  ranked_.clear();
+  change_log_->Clear();
   if (!candidate_cache_.empty()) {
     candidate_cache_.clear();
     ++stats_.invalidations;

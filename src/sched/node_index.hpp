@@ -2,9 +2,7 @@
 // columns plus inverted indexes (bitmaps) over the structural placement
 // dimensions — security level, layer, labels, accelerator presence,
 // cordon state. The scheduler intersects those bitmaps to
-// obtain a candidate set instead of filtering every node per pod; capacity
-// (cpu/memory headroom, node liveness) is always checked live per candidate
-// because it changes on every bind.
+// obtain a candidate set instead of filtering every node per pod.
 //
 // NodeState is a *handle* into the arena: all ledger reads and writes go
 // through the owning NodeIndex, so there is exactly one accounting path and
@@ -12,6 +10,12 @@
 // (labels, cordon, new nodes) invalidate the cached candidate bitmaps;
 // allocation changes do not, which is what lets a reconcile pass admit a
 // whole batch of pending pods through one candidate-set build.
+//
+// On top of the candidate sets the index keeps a bounded cache of ranked
+// classes: per pod shape (requests plus query), a tournament tree over the
+// candidates keyed by score. Every change to a score input appends its slot
+// to one change log, and a class replays the log before it is read, so a
+// placement costs O(changed slots * log n) rather than O(candidates).
 #pragma once
 
 #include <algorithm>
@@ -19,11 +23,14 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "continuum/node.hpp"
+#include "sched/rank_tree.hpp"
 #include "security/policy.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
@@ -120,8 +127,52 @@ struct CandidateQuery {
   [[nodiscard]] std::string CacheKey() const;
 };
 
+/// The candidates of one query ranked for one pod shape: a leaf per
+/// candidate slot, ascending, keyed by the slot's score for that shape. A
+/// slot that is down, short on cpu or memory, or whose score is not above
+/// -1.0 (NaN included) is absent. NodeIndex::Ranked() hands it out synced.
+class RankedCandidates {
+ public:
+  struct Pick {
+    std::uint32_t slot = 0;
+    double score = 0.0;
+  };
+  /// Candidate count: the nodes the structural bitmaps admit.
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  /// The highest-scoring present candidate, ties to the lowest slot.
+  [[nodiscard]] std::optional<Pick> Best() const {
+    const std::optional<std::uint32_t> leaf = tree_.Top();
+    if (!leaf) return std::nullopt;
+    return Pick{slots_[*leaf], tree_.key(*leaf)};
+  }
+  /// Takes the current best out of the ranking until RestoreExcluded(), so
+  /// an opaque filter's rejects are skipped in rank order.
+  void ExcludeBest();
+  void RestoreExcluded();
+
+ private:
+  friend class NodeIndex;
+  // Class key: the pod's cpu request (compared bit for bit), its memory
+  // request, and the candidate query's cache key.
+  double cpu_request_ = 0.0;
+  std::uint64_t mem_request_mb_ = 0;
+  std::string query_key_;
+  std::vector<std::uint32_t> slots_;  // leaf -> slot, ascending
+  RankTree tree_;
+  std::uint64_t synced_ = 0;     // change-log position replayed up to
+  std::uint64_t last_used_ = 0;  // for least-recently-used eviction
+  std::vector<std::pair<std::uint32_t, double>> excluded_;  // leaf, key
+};
+
 class NodeIndex {
  public:
+  /// Ranked classes kept per index; the least recently used is evicted.
+  static constexpr std::size_t kRankClasses = 64;
+
+  NodeIndex();
+  NodeIndex(const NodeIndex&) = delete;
+  NodeIndex& operator=(const NodeIndex&) = delete;
+
   /// Registers a node; slots are assigned in insertion order and never
   /// reused. The node must outlive the index.
   NodeState& Add(continuum::ComputeNode* node,
@@ -158,6 +209,23 @@ class NodeIndex {
     return labels_[slot];
   }
 
+  /// --- Placement kernel, read by slot -------------------------------------
+  /// Cpu capacity is read live through the node (operating points change
+  /// it); the arithmetic is NodeState::CpuFree() and MemFreeMb()'s.
+  [[nodiscard]] bool CpuShort(std::uint32_t slot, double cpu_request) const {
+    return nodes_[slot]->CpuCapacity() - cpu_allocated_[slot] < cpu_request;
+  }
+  [[nodiscard]] bool MemShort(std::uint32_t slot,
+                              std::uint64_t mem_request_mb) const {
+    return util::SubSat(mem_capacity_mb_[slot], mem_allocated_mb_[slot]) <
+           mem_request_mb;
+  }
+  /// Least-allocated and balanced, each in [0,1], higher is better, combined
+  /// as ((0 + 1.0 * least) + 0.5 * balanced) / 1.5: verdicts compare scores
+  /// for exact equality, so that operation order is part of the contract.
+  [[nodiscard]] double Score(std::uint32_t slot, double cpu_request,
+                             std::uint64_t mem_request_mb) const;
+
   /// --- Allocation ledger (non-structural: candidate cache survives) ------
   void AddAllocation(std::uint32_t slot, double cpu, std::uint64_t mem_mb);
   void SubAllocation(std::uint32_t slot, double cpu, std::uint64_t mem_mb);
@@ -174,14 +242,35 @@ class NodeIndex {
   /// structural mutation; the returned reference is valid until then.
   [[nodiscard]] const Bitmap& Candidates(const CandidateQuery& q) const;
 
+  /// `q`'s candidates ranked for a pod requesting `cpu_request` and
+  /// `mem_request_mb`, synced with every score-input change since it was
+  /// last read. The reference is valid until the next Ranked() call or
+  /// structural mutation.
+  [[nodiscard]] RankedCandidates& Ranked(const CandidateQuery& q,
+                                         double cpu_request,
+                                         std::uint64_t mem_request_mb) const;
+
   struct Stats {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t invalidations = 0;
+    std::uint64_t rank_hits = 0;    // Ranked() found its class
+    std::uint64_t rank_builds = 0;  // Ranked() scored a class from scratch
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// Ranked classes held now: at most kRankClasses.
+  [[nodiscard]] std::size_t ranked_classes() const { return ranked_.size(); }
+  /// Change-log entries held now: fewer than 2 * max(64, size()).
+  [[nodiscard]] std::size_t change_log_length() const;
 
  private:
+  class ChangeLog;
+
+  const Bitmap& CandidatesFor(const std::string& key,
+                              const CandidateQuery& q) const;
+  /// A slot's key in `ranked`: its score for that pod shape, or absent.
+  double RankKey(const RankedCandidates& ranked, std::uint32_t slot) const;
+  void Rescore(RankedCandidates& ranked) const;
   void InvalidateCandidates();
 
   // Handles; deque keeps them pointer-stable as the fleet grows.
@@ -208,6 +297,12 @@ class NodeIndex {
   std::map<std::string, Bitmap> by_label_;              // "key\x1fvalue"
 
   mutable std::map<std::string, Bitmap> candidate_cache_;
+  // Ranked classes, and the slots whose score inputs changed since the
+  // oldest of them was synced. The nodes hold the log weakly and append to
+  // it on liveness and capacity changes.
+  mutable std::vector<std::unique_ptr<RankedCandidates>> ranked_;
+  mutable std::uint64_t rank_clock_ = 0;
+  std::shared_ptr<ChangeLog> change_log_;
   mutable Stats stats_;
 };
 

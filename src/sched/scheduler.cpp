@@ -1,50 +1,10 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "telemetry/telemetry.hpp"
 
 namespace myrtus::sched {
-namespace {
-
-// Score weights: least-allocated counts double the balanced score.
-constexpr double kLeastAllocatedWeight = 1.0;
-constexpr double kBalancedWeight = 0.5;
-
-// The capacity checks, shared by the candidate loop and the failure walk.
-// Cpu capacity is read live (operating points change it at runtime); the
-// arithmetic is NodeState::CpuFree() and MemFreeMb()'s.
-bool CpuShort(const PodSpec& pod, const NodeIndex& index, std::uint32_t slot) {
-  return index.node(slot)->CpuCapacity() - index.cpu_allocated(slot) <
-         pod.cpu_request;
-}
-bool MemShort(const PodSpec& pod, const NodeIndex& index, std::uint32_t slot) {
-  return util::SubSat(index.mem_capacity_mb(slot),
-                      index.mem_allocated_mb(slot)) < pod.mem_request_mb;
-}
-
-// Least-allocated and balanced, each in [0,1], higher is better, combined as
-// ((0 + 1.0 * least) + 0.5 * balanced) / 1.5: verdicts compare scores for
-// exact equality, so that operation order is part of the contract.
-double ScoreSlot(const PodSpec& pod, const NodeIndex& index,
-                 std::uint32_t slot) {
-  const double cap = index.node(slot)->CpuCapacity();
-  const double cpu_allocated = index.cpu_allocated(slot);
-  const double least =
-      cap <= 0 ? 0.0 : std::max(0.0, (cap - cpu_allocated) / cap);
-  const double cpu_frac =
-      (cpu_allocated + pod.cpu_request) / std::max(1e-9, cap);
-  const double mem_frac =
-      static_cast<double>(index.mem_allocated_mb(slot) + pod.mem_request_mb) /
-      std::max<double>(1.0,
-                       static_cast<double>(index.mem_capacity_mb(slot)));
-  const double balanced = 1.0 - std::fabs(cpu_frac - mem_frac);
-  return (0.0 + kLeastAllocatedWeight * least + kBalancedWeight * balanced) /
-         (kLeastAllocatedWeight + kBalancedWeight);
-}
-
-}  // namespace
 
 std::string_view PodPhaseName(PodPhase phase) {
   switch (phase) {
@@ -98,8 +58,8 @@ util::StatusOr<ScheduleResult> Scheduler::Schedule(
   telemetry::ScopedSpan span("sched.schedule", "sched");
   span.SetAttribute("pod", pod.name);
 
-  // The structural filters as one candidate query; liveness, capacity and
-  // the opaque filters are checked per candidate below.
+  // The structural filters as one candidate query; the index ranks its
+  // candidates by liveness, capacity and score for this pod shape.
   CandidateQuery query;
   query.restrict_cordoned = true;
   query.restrict_security = true;
@@ -108,35 +68,33 @@ util::StatusOr<ScheduleResult> Scheduler::Schedule(
   if (!pod.layer_affinity.empty()) query.layer = &pod.layer_affinity;
   if (!pod.node_selector.empty()) query.selector = &pod.node_selector;
 
-  const Bitmap& candidates = index.Candidates(query);
-  const continuum::ComputeNode* best = nullptr;
-  double best_score = -1.0;
-  std::uint64_t considered = 0;
-  candidates.ForEachSet([&](std::size_t candidate) {
-    const auto slot = static_cast<std::uint32_t>(candidate);
-    ++considered;
-    const continuum::ComputeNode& node = *index.node(slot);
-    if (!node.up() || CpuShort(pod, index, slot) ||
-        MemShort(pod, index, slot)) {
-      return;
+  // The index ranks the candidates for this pod shape; the opaque filters
+  // are tried in rank order, and a rejected candidate leaves the ranking
+  // until this call returns.
+  RankedCandidates& ranked =
+      index.Ranked(query, pod.cpu_request, pod.mem_request_mb);
+  std::optional<RankedCandidates::Pick> best = ranked.Best();
+  if (!filters_.empty()) {
+    const auto rejected = [&](std::uint32_t slot) {
+      return std::any_of(filters_.begin(), filters_.end(),
+                         [&](const FilterFn& filter) {
+                           return filter(pod, index.at(slot)).has_value();
+                         });
+    };
+    while (best && rejected(best->slot)) {
+      ranked.ExcludeBest();
+      best = ranked.Best();
     }
-    for (const FilterFn& filter : filters_) {
-      if (filter(pod, index.at(slot))) return;
-    }
-    const double score = ScoreSlot(pod, index, slot);
-    if (score > best_score) {
-      best_score = score;
-      best = &node;
-    }
-  });
+    ranked.RestoreExcluded();
+  }
 
   if (telemetry::Enabled()) {
-    span.SetAttribute("candidates", std::to_string(considered));
+    span.SetAttribute("candidates", std::to_string(ranked.size()));
     telemetry::Global().metrics.Add(
         "myrtus_sched_attempts_total", 1.0,
-        {{"result", best == nullptr ? "exhausted" : "placed"}});
+        {{"result", best ? "placed" : "exhausted"}});
   }
-  if (best == nullptr) {
+  if (!best) {
     // The failure walk is a span of its own, nested in this one.
     telemetry::ScopedSpan walk("sched.explain", "sched");
     walk.SetAttribute("pod", pod.name);
@@ -147,9 +105,9 @@ util::StatusOr<ScheduleResult> Scheduler::Schedule(
     return util::Status::ResourceExhausted(std::move(message));
   }
   ScheduleResult result;
-  result.node_id = best->id();
-  result.score = best_score;
-  result.nodes_considered = considered;
+  result.node_id = index.node(best->slot)->id();
+  result.score = best->score;
+  result.nodes_considered = ranked.size();
   span.SetAttribute("node", result.node_id);
   return result;
 }
@@ -165,8 +123,10 @@ void Scheduler::AppendRejection(const PodSpec& pod, const NodeIndex& index,
   };
   if (!node.up()) return reject("node down");
   if (index.cordoned(slot)) return reject("cordoned");
-  if (CpuShort(pod, index, slot)) return reject("insufficient cpu");
-  if (MemShort(pod, index, slot)) return reject("insufficient memory");
+  if (index.CpuShort(slot, pod.cpu_request)) return reject("insufficient cpu");
+  if (index.MemShort(slot, pod.mem_request_mb)) {
+    return reject("insufficient memory");
+  }
   if (!security::Satisfies(node.security_level(), pod.min_security)) {
     return reject("security level too low");
   }

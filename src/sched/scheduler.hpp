@@ -7,9 +7,10 @@
 //    opaque filters added with AddFilter();
 //  - score: the weighted mean of least-allocated (1.0) and balanced (0.5).
 //
-// Schedule() intersects NodeIndex bitmaps for the structural filters, checks
-// liveness, capacity and the opaque filters per candidate, and scores each
-// survivor from the NodeIndex columns. When nothing survives, one walk over
+// Schedule() reads the best candidate from the NodeIndex's ranking for the
+// pod's shape: the structural filters as one bitmap query, liveness,
+// capacity and the score kept current per changed slot. Opaque filters are
+// tried on candidates in rank order. When nothing survives, one walk over
 // the index in slot order reads each node's first failing check from the
 // same sources and writes the RESOURCE_EXHAUSTED message. The full-scan
 // reference the differential tests compare against lives in the test oracle
@@ -44,7 +45,9 @@ class Scheduler {
   /// The built-in pipeline with no opaque filters.
   static Scheduler Default() { return Scheduler(); }
 
-  /// Opaque custom filter, evaluated per candidate after the built-in checks.
+  /// Opaque custom filter, evaluated after the built-in checks on candidates
+  /// in rank order until one passes. It must be pure in (pod, node): which
+  /// candidates it is asked about depends on the ranking.
   void AddFilter(FilterFn f) { filters_.push_back(std::move(f)); }
 
   /// Picks the best feasible node of `index`: the highest score, ties to the

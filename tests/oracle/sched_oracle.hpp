@@ -1,5 +1,6 @@
 // Full-scan scheduling reference for sched::Scheduler. The production
-// scheduler intersects NodeIndex bitmaps, checks the rest per candidate, and
+// scheduler intersects NodeIndex bitmaps, reads the best candidate from a
+// cached per-pod-shape ranking that it refreshes only for changed nodes, and
 // on failure walks the index once for the rejection reasons. This oracle does
 // none of that: it runs every filter of the default pipeline on every node,
 // through std::function like a kube-scheduler plugin chain, and scores every

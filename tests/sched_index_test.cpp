@@ -1,7 +1,7 @@
-// NodeIndex internals (bitmaps, inverted indexes, candidate cache) and the
-// differential against the full-scan oracle: the indexed scheduler must
-// produce the oracle's verdicts, scores and failure messages on randomized
-// fleets, pods, and structural churn.
+// NodeIndex internals (bitmaps, inverted indexes, candidate cache, the rank
+// tree and its bounds) and the differential against the full-scan oracle: the
+// indexed scheduler must produce the oracle's verdicts, scores and failure
+// messages on randomized fleets, pods, same-shape batches, and churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +15,10 @@
 #include "oracle/sched_oracle.hpp"
 #include "sched/controller.hpp"
 #include "sched/node_index.hpp"
+#include "sched/rank_tree.hpp"
 #include "sched/scheduler.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace myrtus::sched {
 namespace {
@@ -87,6 +89,59 @@ TEST(Bitmap, ForEachSetVisitsAscendingSlots) {
   std::vector<std::size_t> seen;
   b.ForEachSet([&](std::size_t slot) { seen.push_back(slot); });
   EXPECT_EQ(seen, (std::vector<std::size_t>{2, 64, 129}));
+}
+
+// --- RankTree ----------------------------------------------------------------
+
+TEST(RankTree, TopIsTheFirstGreatestKeyAndAbsentNeverWins) {
+  RankTree tree;
+  tree.Reset(5);
+  EXPECT_FALSE(tree.Top().has_value());  // all absent
+  for (std::size_t leaf = 0; leaf < 5; ++leaf) tree.SetKey(leaf, 0.25);
+  tree.SetKey(3, 0.5);
+  tree.Rebuild();
+  EXPECT_EQ(tree.Top(), 3u);
+  tree.Rekey(1, 0.5);  // tie with leaf 3: the lower leaf wins
+  EXPECT_EQ(tree.Top(), 1u);
+  tree.Rekey(1, RankTree::kAbsent);
+  EXPECT_EQ(tree.Top(), 3u);
+  tree.Rekey(4, 0.75);
+  EXPECT_EQ(tree.Top(), 4u);
+  for (std::size_t leaf = 0; leaf < 5; ++leaf) tree.Rekey(leaf, RankTree::kAbsent);
+  EXPECT_FALSE(tree.Top().has_value());
+
+  tree.Reset(1);
+  EXPECT_FALSE(tree.Top().has_value());
+  tree.Rekey(0, -0.5);
+  EXPECT_EQ(tree.Top(), 0u);
+  tree.Reset(0);
+  EXPECT_FALSE(tree.Top().has_value());
+}
+
+TEST(RankTree, MatchesAnAscendingStrictScanUnderRandomRekeys) {
+  util::Rng rng(3, "rank-tree");
+  for (std::size_t n : {2u, 3u, 7u, 64u, 100u}) {
+    RankTree tree;
+    tree.Reset(n);
+    std::vector<double> keys(n, RankTree::kAbsent);
+    for (int step = 0; step < 400; ++step) {
+      const std::size_t leaf = rng.NextBounded(n);
+      // Few distinct keys, so ties are common.
+      keys[leaf] = rng.NextBool(0.2)
+                       ? RankTree::kAbsent
+                       : 0.125 * static_cast<double>(rng.NextBounded(4));
+      tree.Rekey(leaf, keys[leaf]);
+      std::optional<std::uint32_t> best;
+      double best_key = RankTree::kAbsent;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (keys[k] > best_key) {
+          best_key = keys[k];
+          best = static_cast<std::uint32_t>(k);
+        }
+      }
+      ASSERT_EQ(tree.Top(), best) << "n=" << n << " step=" << step;
+    }
+  }
 }
 
 // --- NodeIndex ---------------------------------------------------------------
@@ -245,9 +300,10 @@ TEST(Cluster, BindBatchIsAdmittedThroughOneCandidateBuild) {
     ASSERT_TRUE(cluster.BindPod(pod).ok());
   }
   // Binds only touch the allocation ledger, so the whole same-shape batch
-  // reuses one cached candidate set.
+  // reuses one cached candidate set, ranked once and then kept current.
   EXPECT_EQ(cluster.index().stats().cache_misses, start.cache_misses + 1);
-  EXPECT_GE(cluster.index().stats().cache_hits, start.cache_hits + 7);
+  EXPECT_EQ(cluster.index().stats().rank_builds, start.rank_builds + 1);
+  EXPECT_EQ(cluster.index().stats().rank_hits, start.rank_hits + 7);
 }
 
 // --- Indexed scheduler vs the full-scan oracle ------------------------------
@@ -444,6 +500,263 @@ TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
   for (const auto& [target, seen] : hit) {
     EXPECT_TRUE(seen) << "no failing probe reported \"" << target << "\"";
   }
+}
+
+// Same-shape batches: the ranked class of one pod shape stays cached across
+// the batch's binds, so each placement replays only the slots that changed.
+// Every kind of change that can move a score or a candidate set lands
+// between the binds, most of them on the node the oracle would pick next,
+// so a ranking that misses one picks a different node or reports a stale
+// score. Twin nodes make exact score ties common; a zero-capacity node and
+// zero-cpu pods cover the kernel's degenerate branch. A second and third
+// Scheduler dry-run on the same index, so classes synced by one serve the
+// others.
+TEST_P(SchedDifferential, SameShapeBatchesMatchUnderInterleavedChurn) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()), "sched-diff-batch");
+  sim::Engine engine;
+  Cluster cluster(engine, Scheduler::Default());
+  const Scheduler plain = Scheduler::Default();
+  // Rejects nodes whose id ends in an even digit, for pods tagged "odd-".
+  const std::vector<FilterFn> filters = {
+      [](const PodSpec& pod, const NodeState& n) -> std::optional<std::string> {
+        const char last = n.node->id().back();
+        if (pod.name.starts_with("odd-") && last >= '0' && last <= '9' &&
+            (last - '0') % 2 == 0) {
+          return "even node";
+        }
+        return std::nullopt;
+      }};
+  Scheduler filtered = Scheduler::Default();
+  for (const FilterFn& f : filters) filtered.AddFilter(f);
+
+  std::vector<std::unique_ptr<ComputeNode>> nodes;
+  std::vector<std::string> ids;
+  static const char* kZones[] = {"a", "b"};
+  auto add_node = [&](const std::string& id, Layer layer,
+                      security::SecurityLevel level, std::uint64_t mem,
+                      int units, double boost, const char* zone) {
+    auto node = std::make_unique<ComputeNode>(engine, id, layer, "test", level,
+                                              mem);
+    node->AddDevice(Device(
+        id + "/cpu", DeviceKind::kServerCpu, units,
+        {OperatingPoint{"base"},
+         OperatingPoint{"boost", boost, 2000.0, 150.0, 1.0},
+         OperatingPoint{"eco", 0.5, 500.0, 50.0, 1.0}}));
+    cluster.AddNode(node.get(), {{"zone", zone}});
+    nodes.push_back(std::move(node));
+    ids.push_back(id);
+  };
+  const std::size_t fleet = 12 + rng.NextBounded(12);
+  for (std::size_t i = 0; i < fleet; ++i) {
+    const auto layer = static_cast<Layer>(rng.NextBounded(3));
+    const auto level = static_cast<security::SecurityLevel>(rng.NextBounded(3));
+    const std::uint64_t mem = 512 + 256 * rng.NextBounded(4);
+    const int units = 2 + static_cast<int>(rng.NextBounded(4));
+    const double boost = 1.5 + 0.25 * static_cast<double>(rng.NextBounded(3));
+    const char* zone = kZones[rng.NextBounded(2)];
+    add_node("n" + std::to_string(i), layer, level, mem, units, boost, zone);
+    if (rng.NextBool(0.4)) {  // an identical twin: exact score ties
+      add_node("n" + std::to_string(i) + "t" + std::to_string(i % 10), layer,
+               level, mem, units, boost, zone);
+    }
+  }
+  {
+    // No cpu at all: only zero-cpu pods fit, and its score is the balanced
+    // term alone.
+    auto zero = std::make_unique<ComputeNode>(engine, "z0", Layer::kEdge,
+                                              "test",
+                                              security::SecurityLevel::kHigh,
+                                              1024);
+    zero->AddDevice(Device("z0/cpu", DeviceKind::kServerCpu, 1,
+                           {OperatingPoint{"off", 0.0, 0.0, 0.0, 1.0}}));
+    cluster.AddNode(zero.get(), {{"zone", "a"}});
+    nodes.push_back(std::move(zero));
+    ids.push_back("z0");
+  }
+
+  const std::vector<FilterFn> none;
+  auto compare = [&](const Scheduler& sched,
+                     const std::vector<FilterFn>& chain, const PodSpec& pod) {
+    auto scan = oracle::ScanSchedule(chain, pod, cluster.NodeStates());
+    auto indexed = sched.Schedule(pod, cluster.index());
+    EXPECT_EQ(scan.ok(), indexed.ok()) << pod.name;
+    if (scan.ok() && indexed.ok()) {
+      EXPECT_EQ(scan->node_id, indexed->node_id) << pod.name;
+      EXPECT_EQ(scan->score, indexed->score) << pod.name;
+    } else if (!scan.ok() && !indexed.ok()) {
+      EXPECT_EQ(scan.status().message(), indexed.status().message())
+          << pod.name;
+    }
+    return scan.ok() ? scan->node_id : std::string();
+  };
+
+  std::vector<std::string> bound;
+  int tag = 0;
+  std::size_t binds = 0;
+  for (int batch = 0; batch < 8; ++batch) {
+    PodSpec shape;
+    shape.cpu_request = rng.NextBool(0.25) ? 0.0 : rng.Uniform(0.1, 1.0);
+    shape.mem_request_mb = 16 + 16 * rng.NextBounded(8);
+    if (rng.NextBool(0.3)) {
+      shape.min_security =
+          static_cast<security::SecurityLevel>(rng.NextBounded(3));
+    }
+    if (rng.NextBool(0.3)) shape.node_selector["zone"] = kZones[rng.NextBounded(2)];
+    const std::size_t size = 20 + rng.NextBounded(31);
+    for (std::size_t b = 0; b < size; ++b) {
+      PodSpec pod = shape;
+      pod.name = "b" + std::to_string(tag++);
+      // The oracle's pick for this pod: most churn below lands on it.
+      const std::string next = compare(plain, none, pod);
+      const std::string& target =
+          !next.empty() && rng.NextBool(0.7) ? next
+                                             : ids[rng.NextBounded(ids.size())];
+      NodeState* state = cluster.FindNodeState(target);
+      switch (rng.NextBounded(12)) {
+        case 0:
+        case 1:
+          ASSERT_TRUE(state->node
+                          ->SetOperatingPoint(
+                              0, rng.NextBounded(state->node->devices()[0]
+                                                     .operating_points()
+                                                     .size()))
+                          .ok());
+          break;
+        case 2:
+          state->node->SetUp(false);
+          break;
+        case 3:
+          cluster.Cordon(target, true);
+          break;
+        case 4:
+          ASSERT_TRUE(
+              cluster.SetNodeLabel(target, "zone", kZones[rng.NextBounded(2)])
+                  .ok());
+          break;
+        case 5:
+          ASSERT_TRUE(cluster
+                          .SetReflectedCpuAllocation(
+                              target, rng.Uniform(0.0, state->cpu_capacity()))
+                          .ok());
+          break;
+        case 6: {
+          // Never below what the node itself has reserved, or a bind the
+          // scheduler admits could still fail on the node's own ledger.
+          const std::uint64_t reserved = state->node->mem_allocated_mb();
+          ASSERT_TRUE(cluster
+                          .SetReflectedMemAllocation(
+                              target,
+                              reserved +
+                                  rng.NextBounded(
+                                      util::SubSat(state->mem_capacity_mb(),
+                                                   reserved) +
+                                      1))
+                          .ok());
+          break;
+        }
+        case 7:
+          if (!bound.empty()) {
+            const std::size_t k = rng.NextBounded(bound.size());
+            ASSERT_TRUE(cluster.DeletePod(bound[k]).ok());
+            bound.erase(bound.begin() + static_cast<std::ptrdiff_t>(k));
+          }
+          break;
+        case 8: {  // what-if probes through the other schedulers
+          PodSpec odd = pod;
+          odd.name = "odd-" + pod.name;
+          compare(filtered, filters, odd);
+          auto dry = cluster.DryRunSchedule(pod);
+          EXPECT_EQ(dry.ok() ? dry->node_id : std::string(), next) << pod.name;
+          break;
+        }
+        default:  // a quiet gap, or a node coming back
+          if (rng.NextBool(0.5)) {
+            cluster.FindNodeState(ids[rng.NextBounded(ids.size())])
+                ->node->SetUp(true);
+            cluster.Cordon(ids[rng.NextBounded(ids.size())], false);
+          }
+          break;
+      }
+      const std::string expected = compare(plain, none, pod);
+      auto placed = cluster.BindPod(pod);
+      ASSERT_EQ(placed.ok(), !expected.empty()) << pod.name;
+      if (placed.ok()) {
+        EXPECT_EQ(*placed, expected) << pod.name;
+        bound.push_back(pod.name);
+        ++binds;
+      }
+    }
+  }
+  EXPECT_GE(binds, 100u);  // the batches did bind, not only fail
+  EXPECT_LE(cluster.index().ranked_classes(), NodeIndex::kRankClasses);
+}
+
+TEST(SchedDifferential, ZeroCapacityNodeTakesOnlyZeroCpuPods) {
+  sim::Engine engine;
+  Cluster cluster(engine, Scheduler::Default());
+  ComputeNode zero(engine, "z0", Layer::kEdge, "test",
+                   security::SecurityLevel::kLow, 1024);
+  zero.AddDevice(Device("z0/cpu", DeviceKind::kServerCpu, 1,
+                        {OperatingPoint{"off", 0.0, 0.0, 0.0, 1.0},
+                         OperatingPoint{"on"}}));
+  cluster.AddNode(&zero);
+  ASSERT_EQ(zero.CpuCapacity(), 0.0);
+  const Scheduler sched = Scheduler::Default();
+  auto compare = [&](const PodSpec& pod) {
+    auto scan = oracle::ScanSchedule({}, pod, cluster.NodeStates());
+    auto indexed = sched.Schedule(pod, cluster.index());
+    EXPECT_EQ(scan.ok(), indexed.ok()) << pod.name;
+    if (scan.ok() && indexed.ok()) {
+      EXPECT_EQ(scan->score, indexed->score) << pod.name;
+    } else if (!scan.ok() && !indexed.ok()) {
+      EXPECT_EQ(scan.status().message(), indexed.status().message());
+    }
+    return scan.ok();
+  };
+  PodSpec idle;
+  idle.name = "idle";
+  idle.cpu_request = 0.0;
+  idle.mem_request_mb = 256;
+  PodSpec busy = idle;
+  busy.name = "busy";
+  busy.cpu_request = 0.5;
+  for (int i = 0; i < 3; ++i) {
+    idle.name = "idle-" + std::to_string(i);
+    EXPECT_TRUE(compare(idle));
+    EXPECT_FALSE(compare(busy));
+    ASSERT_TRUE(cluster.BindPod(idle).ok());
+  }
+  // The node wakes up: now it has cpu, and the cached ranking must see it.
+  ASSERT_TRUE(zero.SetOperatingPoint(0, 1).ok());
+  EXPECT_TRUE(compare(busy));
+  EXPECT_TRUE(compare(idle));
+  ASSERT_TRUE(zero.SetOperatingPoint(0, 0).ok());
+  EXPECT_FALSE(compare(busy));
+  EXPECT_TRUE(compare(idle));
+}
+
+// The rank cache and its change log stay bounded however long the run: a
+// long bind/delete churn over more pod shapes than the cache holds leaves at
+// most kRankClasses classes and a log of at most twice the fleet (or 128).
+TEST(SchedDifferential, RankCacheAndChangeLogStayBounded) {
+  sim::Engine engine;
+  continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
+  Cluster cluster(engine, Scheduler::Default());
+  for (auto& n : infra.nodes) cluster.AddNode(n.get());
+  const std::size_t log_cap = 2 * std::max<std::size_t>(64, infra.nodes.size());
+  util::Rng rng(5, "sched-rank-bounded");
+  for (int i = 0; i < 4000; ++i) {
+    PodSpec pod;
+    pod.name = "p" + std::to_string(i);
+    pod.cpu_request = 0.01 * static_cast<double>(1 + rng.NextBounded(100));
+    pod.mem_request_mb = 1 + rng.NextBounded(4);
+    if (cluster.BindPod(pod).ok() && rng.NextBool(0.9)) {
+      ASSERT_TRUE(cluster.DeletePod(pod.name).ok());
+    }
+    ASSERT_LE(cluster.index().ranked_classes(), NodeIndex::kRankClasses);
+    ASSERT_LT(cluster.index().change_log_length(), log_cap);
+  }
+  EXPECT_EQ(cluster.index().ranked_classes(), NodeIndex::kRankClasses);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedDifferential, ::testing::Range(1, 6));
