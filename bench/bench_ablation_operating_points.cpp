@@ -77,7 +77,8 @@ Outcome RunLoad(Policy policy, double load_fraction, std::uint64_t seed) {
   engine.RunUntil(sim::SimTime::Seconds(25));
 
   Outcome out;
-  out.energy_mj = node.total_energy_mj() + node.IdleEnergyMj(engine.Now());
+  out.energy_mj =
+      (node.total_energy() + node.IdleEnergyMj(engine.Now())).value();
   out.violation_rate =
       completed == 0 ? 0.0 : static_cast<double>(violations) / completed;
   out.p95_ms = latency_ms.p95();

@@ -45,7 +45,8 @@ LayerOutcome EvaluateAt(const continuum::Infrastructure& infra,
       network_mj = static_cast<double>(bytes) * 20e-9 * 1e3;  // 20 nJ/byte radio+NIC
     }
   }
-  return {est.latency.ToMillisF() + network_ms, est.energy_mj + network_mj};
+  return {est.latency.ToMillisF() + network_ms,
+          est.energy_mj.value() + network_mj};
 }
 
 void PrintCrossoverTable(bench::Report& report) {

@@ -34,9 +34,10 @@ void ChangeTracker::Sync(const NodeList& nodes) {
     const std::size_t i = synced_++;
     ComputeNode* node = nodes[i].get();
     id_to_index_.emplace(node->id(), i);
-    energy_mj_ += node->total_energy_mj();
-    node->SetChangeHook(
-        [this, i](double energy_delta_mj) { OnChange(i, energy_delta_mj); });
+    energy_ += node->total_energy();
+    node->SetChangeHook([this, i](util::MilliJoules energy_delta) {
+      OnChange(i, energy_delta);
+    });
     for (Listener& listener : listeners_) {
       if (!listener.active) continue;
       if (listener.dirty.size() <= i / kWordBits) {
@@ -47,8 +48,9 @@ void ChangeTracker::Sync(const NodeList& nodes) {
   }
 }
 
-void ChangeTracker::OnChange(std::size_t index, double energy_delta_mj) {
-  energy_mj_ += energy_delta_mj;
+void ChangeTracker::OnChange(std::size_t index,
+                             util::MilliJoules energy_delta) {
+  energy_ += energy_delta;
   for (Listener& listener : listeners_) {
     if (!listener.active) continue;
     if (listener.dirty.size() <= index / kWordBits) {
@@ -94,9 +96,9 @@ void ChangeTracker::MarkDirtyById(const NodeList& nodes,
   l.dirty[i / kWordBits] |= 1ULL << (i % kWordBits);
 }
 
-double ChangeTracker::TotalEnergyMj(const NodeList& nodes) {
+util::MilliJoules ChangeTracker::TotalEnergy(const NodeList& nodes) {
   Sync(nodes);
-  return energy_mj_;
+  return energy_;
 }
 
 }  // namespace myrtus::continuum

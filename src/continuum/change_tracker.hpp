@@ -46,11 +46,11 @@ class ChangeTracker {
   void MarkDirtyById(const NodeList& nodes, const std::string& node_id,
                      int listener);
 
-  /// Fleet cumulative task energy (mJ), maintained incrementally from the
+  /// Fleet cumulative task energy, maintained incrementally from the
   /// completion-event deltas: sum of each node's counter at attach time plus
-  /// every delta since. Matches summing ComputeNode::total_energy_mj() over
-  /// the fleet up to float re-association.
-  double TotalEnergyMj(const NodeList& nodes);
+  /// every delta since. Matches summing ComputeNode::total_energy() over the
+  /// fleet up to float re-association.
+  util::MilliJoules TotalEnergy(const NodeList& nodes);
 
   [[nodiscard]] std::size_t tracked_nodes() const { return synced_; }
 
@@ -58,7 +58,7 @@ class ChangeTracker {
   /// Attaches hooks to nodes [synced_, nodes.size()), marking them dirty for
   /// every listener and folding their energy counters into the base.
   void Sync(const NodeList& nodes);
-  void OnChange(std::size_t index, double energy_delta_mj);
+  void OnChange(std::size_t index, util::MilliJoules energy_delta);
 
   struct Listener {
     std::vector<std::uint64_t> dirty;  // bitmap over node indices
@@ -66,7 +66,7 @@ class ChangeTracker {
   };
 
   std::size_t synced_ = 0;
-  double energy_mj_ = 0.0;
+  util::MilliJoules energy_;
   std::vector<Listener> listeners_;
   std::unordered_map<std::string, std::size_t> id_to_index_;
 };

@@ -15,6 +15,7 @@
 
 #include "sim/time.hpp"
 #include "util/status.hpp"
+#include "util/units.hpp"
 
 namespace myrtus::continuum {
 
@@ -30,7 +31,7 @@ struct TaskDemand {
 /// Outcome of running a task on a device.
 struct ExecutionEstimate {
   sim::SimTime latency;
-  double energy_mj = 0.0;  // millijoules
+  util::MilliJoules energy_mj{};
 };
 
 /// One voltage/frequency (or accelerator-configuration) operating point,
@@ -39,8 +40,8 @@ struct ExecutionEstimate {
 struct OperatingPoint {
   std::string name;
   double clock_ghz = 1.0;
-  double power_active_mw = 1000.0;
-  double power_idle_mw = 100.0;
+  util::MilliWatts power_active_mw{1000.0};
+  util::MilliWatts power_idle_mw{100.0};
   double speedup = 1.0;  // vs the 1x reference scalar core at 1 GHz
 };
 

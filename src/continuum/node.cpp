@@ -121,7 +121,7 @@ void ComputeNode::Submit(const TaskDemand& demand, std::size_t device_index,
                               done = std::move(done)] {
     --queue_depth_[device_index];
     ++tasks_completed_;
-    total_energy_mj_ += est.energy_mj;
+    total_energy_ += est.energy_mj;
     MarkChanged(est.energy_mj);
     if (done) {
       TaskReport report;
@@ -153,11 +153,11 @@ std::size_t ComputeNode::QueueDepth() const {
   return total;
 }
 
-double ComputeNode::IdleEnergyMj(sim::SimTime now) const {
+util::MilliJoules ComputeNode::IdleEnergyMj(sim::SimTime now) const {
   const double alive_s = (now - created_at_).ToSecondsF();
-  double idle_mw = 0.0;
-  for (const Device& d : devices_) idle_mw += d.active_point().power_idle_mw;
-  return idle_mw * alive_s;
+  util::MilliWatts idle;
+  for (const Device& d : devices_) idle += d.active_point().power_idle_mw;
+  return idle * alive_s;
 }
 
 }  // namespace myrtus::continuum

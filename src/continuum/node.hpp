@@ -16,6 +16,7 @@
 #include "security/policy.hpp"
 #include "sim/engine.hpp"
 #include "util/status.hpp"
+#include "util/units.hpp"
 
 namespace myrtus::continuum {
 
@@ -28,7 +29,7 @@ struct TaskReport {
   std::string device_name;
   sim::SimTime queued;     // time spent waiting for the device
   sim::SimTime service;    // execution latency on the device
-  double energy_mj = 0.0;
+  util::MilliJoules energy_mj{};
 };
 
 class ComputeNode {
@@ -106,19 +107,23 @@ class ComputeNode {
   /// Single listener, fanned out by continuum::ChangeTracker. `energy_delta`
   /// is nonzero only for task-completion energy accrual, letting the tracker
   /// maintain the fleet energy total incrementally.
-  using ChangeHook = std::function<void(double energy_delta_mj)>;
+  using ChangeHook = std::function<void(util::MilliJoules energy_delta)>;
   void SetChangeHook(ChangeHook hook) { change_hook_ = std::move(hook); }
   /// Bumps the epoch and notifies the hook. Public so ledgers living outside
   /// the node (scheduler allocation columns, peering reflections) can mark
   /// their node dirty through the same channel.
-  void MarkChanged(double energy_delta_mj = 0.0) {
+  void MarkChanged(util::MilliJoules energy_delta = util::MilliJoules()) {
     ++change_epoch_;
-    if (change_hook_) change_hook_(energy_delta_mj);
+    if (change_hook_) change_hook_(energy_delta);
   }
 
   /// --- PMC-style counters ----------------------------------------------
   [[nodiscard]] std::uint64_t tasks_completed() const { return tasks_completed_; }
-  [[nodiscard]] double total_energy_mj() const { return total_energy_mj_; }
+  [[nodiscard]] util::MilliJoules total_energy() const {
+    return total_energy_;
+  }
+  /// total_energy() as a plain double, for report rows.
+  [[nodiscard]] double total_energy_mj() const { return total_energy_.value(); }
   /// Busy fraction of a device since the node was created.
   [[nodiscard]] double Utilization(std::size_t device_index) const;
   [[nodiscard]] sim::SimTime created_at() const { return created_at_; }
@@ -132,7 +137,7 @@ class ComputeNode {
   /// Instantaneous queue depth across all devices.
   [[nodiscard]] std::size_t QueueDepth() const;
   /// Idle-power energy accumulated up to `now` (integrates idle draw).
-  [[nodiscard]] double IdleEnergyMj(sim::SimTime now) const;
+  [[nodiscard]] util::MilliJoules IdleEnergyMj(sim::SimTime now) const;
 
  private:
   void RefreshCpuCapacity();
@@ -156,7 +161,7 @@ class ComputeNode {
   sim::SimTime created_at_;
 
   std::uint64_t tasks_completed_ = 0;
-  double total_energy_mj_ = 0.0;
+  util::MilliJoules total_energy_;
   std::uint64_t change_epoch_ = 0;
   ChangeHook change_hook_;
   std::vector<std::pair<std::weak_ptr<PlacementWatcher>, std::uint32_t>>

@@ -47,7 +47,7 @@ KpiEstimator::KpiEstimator(const DataflowGraph& graph,
             target.device.EstimateAt(demand, points[p]);
         const std::size_t row = (point_offset_[d] + p) * n_actors + a;
         point_latency_s_[row] = est.latency.ToSecondsF();
-        point_energy_mj_[row] = est.energy_mj;
+        point_energy_mj_[row] = est.energy_mj.value();
       }
       // Non-accelerable actors mapped to a pure fabric device are infeasible
       // in the MDC flow (the fabric runs only synthesized kernels).

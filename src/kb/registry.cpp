@@ -100,7 +100,7 @@ util::Json NodeRecord::ToJson() const {
       .Set("mem_allocated_mb", mem_allocated_mb)
       .Set("security_level", security_level)
       .Set("has_accelerator", has_accelerator)
-      .Set("energy_mj", energy_mj)
+      .Set("energy_mj", energy_mj.value())
       .Set("trust_score", trust_score);
   return j;
 }
@@ -120,10 +120,7 @@ util::StatusOr<NodeRecord> NodeRecord::FromJson(const util::Json& j) {
   r.mem_allocated_mb = static_cast<std::uint64_t>(j.at("mem_allocated_mb").as_int());
   r.security_level = static_cast<int>(j.at("security_level").as_int());
   r.has_accelerator = j.at("has_accelerator").as_bool();
-  // "energy_mw" is the legacy key for the same (mJ) quantity: records
-  // written before the rename carried millijoules under the wrong name.
-  r.energy_mj = j.has("energy_mj") ? j.at("energy_mj").as_double()
-                                   : j.at("energy_mw").as_double();
+  r.energy_mj = util::MilliJoules(j.at("energy_mj").as_double());
   r.trust_score = j.at("trust_score").as_double(1.0);
   return r;
 }

@@ -19,6 +19,7 @@
 #include "kb/store.hpp"
 #include "util/json.hpp"
 #include "util/status.hpp"
+#include "util/units.hpp"
 
 namespace myrtus::kb {
 
@@ -34,7 +35,7 @@ struct NodeRecord {
   std::uint64_t mem_allocated_mb = 0;
   int security_level = 0;         // 0=low 1=medium 2=high (Table II)
   bool has_accelerator = false;
-  double energy_mj = 0.0;         // cumulative energy consumed (millijoules)
+  util::MilliJoules energy_mj{};  // cumulative energy consumed
   double trust_score = 1.0;       // runtime trust indicator (§III)
 
   [[nodiscard]] util::Json ToJson() const;

@@ -306,7 +306,7 @@ void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
     record.has_accelerator = state->HasAccelerator();
     cluster_slots_[index] = static_cast<std::int32_t>(state->slot());
   }
-  record.energy_mj = node.total_energy_mj();
+  record.energy_mj = node.total_energy();
   registry_.PutNode(record, registry_watch_);
   if (!node.devices().empty()) {
     registry_.AppendTelemetry(node.id(), "utilization",

@@ -4,10 +4,27 @@
 #include <cmath>
 #include <limits>
 
+#include "net/retry.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace myrtus::mirto {
 namespace {
+
+/// Weights of the bid cost model.
+constexpr double kBidEnergyWeight = 1.0;
+constexpr double kBidLatencyWeight = 1.0;
+constexpr double kBidLoadWeight = 2.0;
+
+/// Retry profile for the contract-net RPCs (bid, award) — negotiation must
+/// survive flaky edge links instead of declaring "no bidder".
+const net::RetryPolicy kNegotiationRetry = [] {
+  net::RetryPolicy p;
+  p.max_attempts = 3;
+  p.initial_backoff = sim::SimTime::Millis(25);
+  p.attempt_timeout = sim::SimTime::Seconds(2);
+  p.overall_deadline = sim::SimTime::Seconds(8);
+  return p;
+}();
 
 constexpr std::array<continuum::Layer, 3> kLayers = {
     continuum::Layer::kEdge, continuum::Layer::kFog, continuum::Layer::kCloud};
@@ -134,7 +151,8 @@ std::size_t MirtoEngine::TotalRunningPods() {
 double MirtoEngine::TotalEnergyMj() const {
   // Maintained incrementally by the ChangeTracker from per-task completion
   // deltas — O(1) instead of a fleet walk per call.
-  const double total = infra_.change_tracker().TotalEnergyMj(infra_.nodes);
+  const double total =
+      infra_.change_tracker().TotalEnergy(infra_.nodes).value();
 #ifndef NDEBUG
   double walk = 0.0;
   for (const auto& node : infra_.nodes) walk += node->total_energy_mj();
@@ -157,11 +175,11 @@ util::StatusOr<double> MirtoEngine::ComputeBid(continuum::Layer layer,
   const sched::NodeState* node = slice.cluster->FindNodeState(result->node_id);
   double power_per_cpu = 0.0;
   if (node != nullptr && node->cpu_capacity() > 0) {
-    double power = 0.0;
+    util::MilliWatts power;
     for (const continuum::Device& d : node->node->devices()) {
       power += d.active_point().power_active_mw;
     }
-    power_per_cpu = power / node->cpu_capacity();
+    power_per_cpu = power.value() / node->cpu_capacity();
   }
   const double load = node != nullptr && node->cpu_capacity() > 0
                           ? node->cpu_allocated() / node->cpu_capacity()
@@ -169,9 +187,8 @@ util::StatusOr<double> MirtoEngine::ComputeBid(continuum::Layer layer,
   auto route = network_.topology().FindRoute(infra_.DefaultGateway(),
                                              result->node_id);
   const double latency_ms = route.ok() ? route->propagation.ToMillisF() : 50.0;
-  return config_.bid_energy_weight * pod.cpu_request * power_per_cpu * 1e-3 +
-         config_.bid_latency_weight * latency_ms +
-         config_.bid_load_weight * load;
+  return kBidEnergyWeight * pod.cpu_request * power_per_cpu * 1e-3 +
+         kBidLatencyWeight * latency_ms + kBidLoadWeight * load;
 }
 
 void MirtoEngine::NegotiatePod(
@@ -268,9 +285,9 @@ void MirtoEngine::NegotiatePod(
                 }
                 NegotiatePod(pods, index + 1, failures, done);
               },
-              config_.negotiation_retry);
+              kNegotiationRetry);
         },
-        config_.negotiation_retry);
+        kNegotiationRetry);
   }
 }
 

@@ -13,7 +13,6 @@
 #include "kb/store.hpp"
 #include "mirto/agent.hpp"
 #include "mirto/peering.hpp"
-#include "net/retry.hpp"
 
 namespace myrtus::mirto {
 
@@ -22,20 +21,6 @@ struct EngineConfig {
   sim::SimTime mape_period = sim::SimTime::Millis(250);
   std::uint64_t seed = 1;
   std::string auth_secret = "myrtus-dev-secret";
-  /// Weights of the bid cost model.
-  double bid_energy_weight = 1.0;
-  double bid_latency_weight = 1.0;
-  double bid_load_weight = 2.0;
-  /// Retry profile for the contract-net RPCs (bid, award) — negotiation must
-  /// survive flaky edge links instead of declaring "no bidder".
-  net::RetryPolicy negotiation_retry = [] {
-    net::RetryPolicy p;
-    p.max_attempts = 3;
-    p.initial_backoff = sim::SimTime::Millis(25);
-    p.attempt_timeout = sim::SimTime::Seconds(2);
-    p.overall_deadline = sim::SimTime::Seconds(8);
-    return p;
-  }();
 };
 
 struct NegotiationStats {

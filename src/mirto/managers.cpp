@@ -46,11 +46,11 @@ util::StatusOr<std::map<std::string, std::string>> WlManager::PlanPlacement(
     pn.mem_capacity_mb = static_cast<double>(ns->MemFreeMb());
     pn.security_level = static_cast<int>(ns->node->security_level());
     pn.has_accelerator = ns->HasAccelerator();
-    double power = 0.0;
+    util::MilliWatts power;
     for (const continuum::Device& d : ns->node->devices()) {
       power += d.active_point().power_active_mw;
     }
-    pn.power_mw_per_cpu = power / std::max(1e-9, ns->cpu_capacity());
+    pn.power_mw_per_cpu = power.value() / std::max(1e-9, ns->cpu_capacity());
     const auto it = node_latency_cost_ms.find(pn.id);
     pn.latency_to_consumer_ms = it == node_latency_cost_ms.end() ? 10.0 : it->second;
     problem.nodes.push_back(std::move(pn));

@@ -28,8 +28,9 @@ LiqoPeering::LiqoPeering(sim::Engine& engine, sched::Cluster& local,
   const int cores = std::max(1, static_cast<int>(total_cpu));
   virtual_node_->AddDevice(continuum::Device(
       virtual_id_ + "/aggregate", continuum::DeviceKind::kServerCpu, cores,
-      {continuum::OperatingPoint{"aggregate", 1.0, 100.0 * cores, 10.0 * cores,
-                                 1.0}}));
+      {continuum::OperatingPoint{"aggregate", 1.0,
+                                 util::MilliWatts(100.0 * cores),
+                                 util::MilliWatts(10.0 * cores), 1.0}}));
   local_.AddNode(virtual_node_.get(), {{"liqo.io/virtual", "true"}});
   SyncCapacity();
 }

@@ -79,7 +79,10 @@ util::Status Cluster::SetReflectedMemAllocation(const std::string& node_id,
                                                 std::uint64_t mem_mb) {
   NodeState* n = index_.Find(node_id);
   if (n == nullptr) return util::Status::NotFound("node " + node_id);
-  index_.SetMemAllocation(n->slot(), mem_mb);
+  // Never below the node's own reservation: a column under it would let
+  // Schedule admit a pod that CommitBind's ReserveMemory then refuses.
+  index_.SetMemAllocation(n->slot(),
+                          std::max(mem_mb, n->node->mem_allocated_mb()));
   n->node->MarkChanged();
   return util::Status::Ok();
 }

@@ -57,7 +57,9 @@ class Cluster {
                             const std::string& value);
   /// Overwrites a node's allocation ledger to mirror external state (liqo
   /// peering reflects remote usage onto its virtual node). The reflected
-  /// value may exceed capacity; free-resource reads clamp at zero.
+  /// value may exceed capacity; free-resource reads clamp at zero. Memory is
+  /// never reflected below the node's own reservation
+  /// (ComputeNode::mem_allocated_mb()).
   util::Status SetReflectedCpuAllocation(const std::string& node_id,
                                          double cpu);
   util::Status SetReflectedMemAllocation(const std::string& node_id,

@@ -148,7 +148,8 @@ RequestPipeline::RequestPipeline(net::Network& network,
     : network_(network), infra_(infra), cluster_(cluster), scenario_(scenario) {}
 
 void RequestPipeline::LaunchRequest() {
-  RunStage(0, scenario_.source_host, network_.engine().Now(), 0.0);
+  RunStage(0, scenario_.source_host, network_.engine().Now(),
+           util::MilliJoules());
 }
 
 void RequestPipeline::StartStream(sim::SimTime until, std::uint64_t seed) {
@@ -169,7 +170,8 @@ void RequestPipeline::ScheduleArrival(sim::SimTime until,
 }
 
 void RequestPipeline::RunStage(std::size_t stage_index, std::string at_host,
-                               sim::SimTime started, double energy_acc) {
+                               sim::SimTime started,
+                               util::MilliJoules energy_acc) {
   if (stage_index >= scenario_.stages.size()) {
     Finish(started, energy_acc, true);
     return;
@@ -243,7 +245,8 @@ void RequestPipeline::EnsureRelay(const std::string& host) {
                        });
 }
 
-void RequestPipeline::Finish(sim::SimTime started, double energy, bool ok) {
+void RequestPipeline::Finish(sim::SimTime started, util::MilliJoules energy,
+                             bool ok) {
   if (!ok) {
     ++kpis_.failed;
     return;
@@ -251,7 +254,7 @@ void RequestPipeline::Finish(sim::SimTime started, double energy, bool ok) {
   ++kpis_.completed;
   const double latency_ms = (network_.engine().Now() - started).ToMillisF();
   kpis_.latency_ms.Add(latency_ms);
-  kpis_.compute_energy_mj += energy;
+  kpis_.compute_energy_mj += energy.value();
   if (latency_ms > scenario_.deadline_ms) ++kpis_.violations;
 }
 

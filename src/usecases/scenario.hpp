@@ -20,6 +20,7 @@
 #include "sched/controller.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/units.hpp"
 
 namespace myrtus::usecases {
 
@@ -93,8 +94,8 @@ class RequestPipeline {
   void ScheduleArrival(sim::SimTime until,
                        const std::shared_ptr<util::Rng>& rng);
   void RunStage(std::size_t stage_index, std::string at_host,
-                sim::SimTime started, double energy_acc);
-  void Finish(sim::SimTime started, double energy, bool ok);
+                sim::SimTime started, util::MilliJoules energy_acc);
+  void Finish(sim::SimTime started, util::MilliJoules energy, bool ok);
   void EnsureRelay(const std::string& host);
   [[nodiscard]] std::string RelayMethod() const;
 

@@ -1,21 +1,15 @@
-// Unit-of-measure helpers: the named conversion vocabulary myrtus-lint's
-// unit-mismatch rule recognizes, plus the saturating subtraction clamp the
-// unsigned-underflow rule recommends.
+// Units of measure: the power/energy type pair the continuum's energy
+// accounting travels in (operating points, execution estimates, node and
+// fleet totals, KB node records), plus the saturating subtraction clamp the
+// unsigned-underflow lint rule recommends.
 //
-// The codebase encodes dimensions in identifier suffixes (`_ns`, `_mb`,
-// `_mw`, ...; see docs/LINTING.md for the inference table). Converting
-// between units therefore goes through a helper named `<From>To<To>` so the
-// conversion is visible at the call site and the analyzer can type the
-// result: `deadline_ns = util::MsToNs(budget_ms)` passes the lint;
-// `deadline_ns = budget_ms` does not.
-//
-// Integer-grid time conversions (ns/us/ms) and byte conversions stay in
-// std::uint64_t — downward conversions floor, matching ledger semantics.
-// Conversions touching seconds, ratios, or the power/energy pair are double:
-// those quantities are fractional throughout the tree.
+// MilliWatts and MilliJoules are distinct types, so the compiler rejects
+// storing a power figure as energy (the shape of the old `energy_mw` field
+// that held millijoules), adding the two, or reading either as a bare double
+// without `.value()`. The one bridge between them is physics: power
+// sustained over a duration is energy, mW × s = mJ.
 #pragma once
 
-#include <cstdint>
 #include <type_traits>
 
 namespace myrtus::util {
@@ -31,46 +25,41 @@ template <typename T>
   return a > b ? a - b : T{0};
 }
 
-// --- time: integer grid -----------------------------------------------------
+/// A double tagged with its unit. Construction from a raw double is
+/// explicit, `value()` is the only way back out, and arithmetic stays within
+/// one unit: same-type `+ - += <` and nothing more.
+template <typename Unit>
+class Quantity {
+ public:
+  constexpr Quantity() = default;
+  constexpr explicit Quantity(double value) : value_(value) {}
 
-[[nodiscard]] constexpr std::uint64_t UsToNs(std::uint64_t us) { return us * 1000; }
-[[nodiscard]] constexpr std::uint64_t MsToNs(std::uint64_t ms) { return ms * 1000000; }
-[[nodiscard]] constexpr std::uint64_t MsToUs(std::uint64_t ms) { return ms * 1000; }
-[[nodiscard]] constexpr std::uint64_t NsToUs(std::uint64_t ns) { return ns / 1000; }
-[[nodiscard]] constexpr std::uint64_t NsToMs(std::uint64_t ns) { return ns / 1000000; }
-[[nodiscard]] constexpr std::uint64_t UsToMs(std::uint64_t us) { return us / 1000; }
+  [[nodiscard]] constexpr double value() const { return value_; }
 
-// --- time: seconds are double ----------------------------------------------
+  constexpr Quantity& operator+=(Quantity other) {
+    value_ += other.value_;
+    return *this;
+  }
+  [[nodiscard]] friend constexpr Quantity operator+(Quantity a, Quantity b) {
+    return Quantity(a.value_ + b.value_);
+  }
+  [[nodiscard]] friend constexpr Quantity operator-(Quantity a, Quantity b) {
+    return Quantity(a.value_ - b.value_);
+  }
+  [[nodiscard]] friend constexpr bool operator<(Quantity a, Quantity b) {
+    return a.value_ < b.value_;
+  }
 
-[[nodiscard]] constexpr double NsToS(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
-[[nodiscard]] constexpr double UsToS(std::uint64_t us) { return static_cast<double>(us) * 1e-6; }
-[[nodiscard]] constexpr double MsToS(std::uint64_t ms) { return static_cast<double>(ms) * 1e-3; }
-[[nodiscard]] constexpr std::uint64_t SToNs(double s) { return static_cast<std::uint64_t>(s * 1e9); }
-[[nodiscard]] constexpr std::uint64_t SToUs(double s) { return static_cast<std::uint64_t>(s * 1e6); }
-[[nodiscard]] constexpr std::uint64_t SToMs(double s) { return static_cast<std::uint64_t>(s * 1e3); }
+ private:
+  double value_ = 0.0;
+};
 
-// --- bytes ------------------------------------------------------------------
+using MilliWatts = Quantity<struct MilliWattsUnit>;
+using MilliJoules = Quantity<struct MilliJoulesUnit>;
 
-[[nodiscard]] constexpr std::uint64_t KbToB(std::uint64_t kb) { return kb * 1024; }
-[[nodiscard]] constexpr std::uint64_t MbToB(std::uint64_t mb) { return mb * 1024 * 1024; }
-[[nodiscard]] constexpr std::uint64_t MbToKb(std::uint64_t mb) { return mb * 1024; }
-[[nodiscard]] constexpr std::uint64_t BToKb(std::uint64_t b) { return b / 1024; }
-[[nodiscard]] constexpr std::uint64_t BToMb(std::uint64_t b) { return b / (1024 * 1024); }
-[[nodiscard]] constexpr std::uint64_t KbToMb(std::uint64_t kb) { return kb / 1024; }
-
-// --- ratios -----------------------------------------------------------------
-
-[[nodiscard]] constexpr double PctToFrac(double pct) { return pct / 100.0; }
-[[nodiscard]] constexpr double FracToPct(double frac) { return frac * 100.0; }
-
-// --- power / energy ---------------------------------------------------------
-
-/// Power sustained over a duration is energy: mW * s = mJ. The two-argument
-/// shape is the point — energy never comes from a power figure alone, which
-/// is exactly the pre-PR-7 `energy_mw` bug the unit rule now catches.
-[[nodiscard]] constexpr double MwToMj(double mw, double s) { return mw * s; }
-
-/// Average power of an energy spent over a duration: mJ / s = mW.
-[[nodiscard]] constexpr double MjToMw(double mj, double s) { return s > 0.0 ? mj / s : 0.0; }
+/// Power sustained for `seconds` is energy: mW × s = mJ.
+[[nodiscard]] constexpr MilliJoules operator*(MilliWatts power, double seconds) {
+  return MilliJoules(power.value() * seconds);
+}
 
 }  // namespace myrtus::util

@@ -99,7 +99,7 @@ TEST_F(ChangeTrackerTest, RemovedListenerStopsReceivingEvents) {
 }
 
 TEST_F(ChangeTrackerTest, EnergyTotalTracksTaskCompletions) {
-  EXPECT_DOUBLE_EQ(tracker_.TotalEnergyMj(nodes_), 0.0);
+  EXPECT_DOUBLE_EQ(tracker_.TotalEnergy(nodes_).value(), 0.0);
   TaskDemand task;
   task.cycles = 5'000'000;
   nodes_[0]->Submit(task, [](const TaskReport&) {});
@@ -109,7 +109,7 @@ TEST_F(ChangeTrackerTest, EnergyTotalTracksTaskCompletions) {
   double walk = 0.0;
   for (const auto& node : nodes_) walk += node->total_energy_mj();
   EXPECT_GT(walk, 0.0);
-  EXPECT_NEAR(tracker_.TotalEnergyMj(nodes_), walk, 1e-9 + 1e-9 * walk);
+  EXPECT_NEAR(tracker_.TotalEnergy(nodes_).value(), walk, 1e-9 + 1e-9 * walk);
 }
 
 TEST_F(ChangeTrackerTest, EnergyAccruedBeforeAttachIsFoldedIn) {
@@ -123,7 +123,7 @@ TEST_F(ChangeTrackerTest, EnergyAccruedBeforeAttachIsFoldedIn) {
   double walk = 0.0;
   for (const auto& node : nodes_) walk += node->total_energy_mj();
   EXPECT_GT(walk, 0.0);
-  EXPECT_NEAR(tracker_.TotalEnergyMj(nodes_), walk, 1e-9 + 1e-9 * walk);
+  EXPECT_NEAR(tracker_.TotalEnergy(nodes_).value(), walk, 1e-9 + 1e-9 * walk);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ TEST(Device, LowerPointSavesEnergyOnComputeBoundWork) {
   ASSERT_TRUE(d.SetOperatingPoint(2).ok());
   const auto slow = d.Estimate(task);
   // 0.6GHz/420mW vs 1.8GHz/2200mW: energy/cycle favors the low point.
-  EXPECT_LT(slow.energy_mj, fast.energy_mj);
+  EXPECT_LT(slow.energy_mj.value(), fast.energy_mj.value());
 }
 
 TEST(Device, AcceleratorOnlyHelpsAccelerableWork) {
@@ -87,7 +87,7 @@ TEST(Node, ExecutesAndReports) {
   node.Submit(SmallTask(), [&](const TaskReport& r) {
     EXPECT_EQ(r.node_id, "edge-0");
     EXPECT_GT(r.service.ns, 0);
-    EXPECT_GT(r.energy_mj, 0.0);
+    EXPECT_GT(r.energy_mj.value(), 0.0);
     EXPECT_EQ(r.queued, SimTime::Zero());
     done = true;
   });

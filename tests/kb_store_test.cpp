@@ -292,28 +292,17 @@ TEST(Registry, NodeRecordRoundtrip) {
   r.mem_capacity_mb = 2048;
   r.security_level = 2;
   r.has_accelerator = true;
-  r.energy_mj = 850.5;
+  r.energy_mj = util::MilliJoules(850.5);
   r.trust_score = 0.93;
   auto back = NodeRecord::FromJson(r.ToJson());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->node_id, "edge-3");
   EXPECT_EQ(back->kind, "hmpsoc");
   EXPECT_DOUBLE_EQ(back->cpu_allocated, 1.5);
-  EXPECT_DOUBLE_EQ(back->energy_mj, 850.5);
+  EXPECT_DOUBLE_EQ(back->energy_mj.value(), 850.5);
   EXPECT_EQ(back->security_level, 2);
   EXPECT_TRUE(back->has_accelerator);
   EXPECT_DOUBLE_EQ(back->trust_score, 0.93);
-}
-
-TEST(Registry, NodeRecordDecodesLegacyEnergyKey) {
-  // Records written before the energy_mw -> energy_mj rename carried
-  // millijoules under the old key; FromJson must still pick them up.
-  util::Json legacy = util::Json::MakeObject()
-                          .Set("node_id", "edge-9")
-                          .Set("energy_mw", 123.25);
-  auto back = NodeRecord::FromJson(legacy);
-  ASSERT_TRUE(back.ok());
-  EXPECT_DOUBLE_EQ(back->energy_mj, 123.25);
 }
 
 TEST(Registry, NodeRecordRejectsGarbage) {
@@ -407,8 +396,7 @@ TEST(Registry, PutTrustOnUnknownOrGarbageRecordWritesNothing) {
 
 // The bytes PublishTrust leaves behind equal the GetNode → set trust →
 // PutNode round trip it replaced, for a canonical record and for one that
-// needs normalizing (legacy energy_mw key, an extra field, an int where
-// ToJson writes a double).
+// needs normalizing (an extra field, an int where ToJson writes a double).
 TEST(Registry, PublishTrustBytesEqualTheRecordRoundTrip) {
   NodeRecord canonical;
   canonical.node_id = "e0";
@@ -420,16 +408,15 @@ TEST(Registry, PublishTrustBytesEqualTheRecordRoundTrip) {
   canonical.mem_allocated_mb = 512;
   canonical.security_level = 2;
   canonical.has_accelerator = true;
-  canonical.energy_mj = 850.5;
+  canonical.energy_mj = util::MilliJoules(850.5);
   canonical.trust_score = 0.93;
-  util::Json legacy = util::Json::MakeObject()
-                          .Set("node_id", "e1")
-                          .Set("layer", "fog")
-                          .Set("cpu_capacity", 8)
-                          .Set("energy_mw", 123.25)
-                          .Set("note", "extra");
+  util::Json noncanonical = util::Json::MakeObject()
+                                .Set("node_id", "e1")
+                                .Set("layer", "fog")
+                                .Set("cpu_capacity", 8)
+                                .Set("note", "extra");
   const std::vector<std::pair<std::string, util::Json>> records = {
-      {"e0", canonical.ToJson()}, {"e1", legacy}};
+      {"e0", canonical.ToJson()}, {"e1", noncanonical}};
   for (const auto& [id, stored] : records) {
     Store store;
     ResourceRegistry reg(store);

@@ -1,8 +1,8 @@
 // Exercises myrtus_lint's interprocedural layer: the cross-TU symbol table
 // and call graph (overloads, out-of-line methods, lambdas, recursion), the
-// name-level type facts, the status-registry closure, the unit-mismatch and
-// unsigned-underflow families over their fire/clean fixtures, glob
-// suppression patterns, and the SARIF 2.1.0 rendering.
+// name-level type facts, the status-registry closure, the unsigned-underflow
+// family over its fire/clean fixtures, glob suppression patterns, and the
+// SARIF 2.1.0 rendering.
 //
 // Fixture "fire" files carry a `// FIRE:` marker on every line that must
 // produce a finding; the tests assert the reported line set equals the
@@ -230,34 +230,6 @@ TEST(InterprocStatusDiscard, CleanWhenEveryStatusIsConsumed) {
   EXPECT_EQ(CountRule(findings, "status-discard"), 0u) << findings[0].message;
 }
 
-// --- Fixtures: unit-of-measure -----------------------------------------------
-
-TEST(UnitMismatch, FiresOnTheEnergyAccountingBugShape) {
-  const std::string source = ReadFixture("unit_mismatch_fire.cpp");
-  const auto findings =
-      LintFixture("unit_mismatch_fire.cpp", "src/sim/unit_fire.cpp");
-  const std::set<int> marked = MarkedLines(source);
-  ASSERT_EQ(marked.size(), 4u) << "fixture drifted";
-  EXPECT_EQ(RuleLines(findings, "unit-mismatch"), marked);
-  // The headline case: a milliwatt sample stored into a millijoule field
-  // crosses *dimensions*, and the message says to relate them via a helper.
-  bool saw_energy_case = false;
-  for (const Finding& f : findings) {
-    if (f.rule == "unit-mismatch" &&
-        f.message.find("mw") != std::string::npos &&
-        f.message.find("mj") != std::string::npos) {
-      saw_energy_case = true;
-    }
-  }
-  EXPECT_TRUE(saw_energy_case);
-}
-
-TEST(UnitMismatch, CleanWhenConversionsAreNamed) {
-  const auto findings =
-      LintFixture("unit_mismatch_clean.cpp", "src/sim/unit_clean.cpp");
-  EXPECT_EQ(CountRule(findings, "unit-mismatch"), 0u);
-}
-
 // --- Fixtures: unsigned underflow --------------------------------------------
 
 TEST(UnsignedUnderflow, FiresOnTheMemFreeLedgerWrapShape) {
@@ -321,7 +293,7 @@ TEST(Suppressions, GlobEntryMatchesFindings) {
   nested.file = "tools/lint/sub/x.cpp";  // '*' must not cross '/'
   EXPECT_FALSE(SuppressionMatches(parsed->front(), nested));
   Finding other_rule = hit;
-  other_rule.rule = "unit-mismatch";
+  other_rule.rule = "status-discard";
   EXPECT_FALSE(SuppressionMatches(parsed->front(), other_rule));
 }
 
@@ -336,7 +308,7 @@ TEST(Suppressions, ExactEntryShadowedByGlobIsRejected) {
   // A different rule with the same paths does not overlap.
   const auto ok = ParseSuppressions(
       "unsigned-underflow tools/lint/*.cpp -- span offsets are monotone\n"
-      "unit-mismatch tools/lint/cfg.cpp -- different rule, no overlap\n",
+      "status-discard tools/lint/cfg.cpp -- different rule, no overlap\n",
       "suppressions.txt");
   EXPECT_TRUE(ok.ok());
 }
@@ -346,11 +318,11 @@ TEST(Suppressions, ExactEntryShadowedByGlobIsRejected) {
 TEST(Sarif, RendersAValid210Log) {
   LintResult result;
   Finding with_col;
-  with_col.rule = "unit-mismatch";
-  with_col.file = "src/sim/power.cpp";
+  with_col.rule = "unsigned-underflow";
+  with_col.file = "src/sched/ledger.cpp";
   with_col.line = 12;
   with_col.col = 7;
-  with_col.message = "mw assigned to mj";
+  with_col.message = "unguarded unsigned subtraction";
   Finding line_only;
   line_only.rule = "pragma-once";
   line_only.file = "src/kb/store.hpp";
@@ -372,12 +344,12 @@ TEST(Sarif, RendersAValid210Log) {
   EXPECT_GE(run.at("tool").at("driver").at("rules").items().size(), 10u);
   ASSERT_EQ(run.at("results").items().size(), 2u);
   const util::Json& first = run.at("results").items()[0];
-  EXPECT_EQ(first.at("ruleId").as_string(), "unit-mismatch");
+  EXPECT_EQ(first.at("ruleId").as_string(), "unsigned-underflow");
   EXPECT_EQ(first.at("level").as_string(), "error");
   const util::Json& loc =
       first.at("locations").items()[0].at("physicalLocation");
   EXPECT_EQ(loc.at("artifactLocation").at("uri").as_string(),
-            "src/sim/power.cpp");
+            "src/sched/ledger.cpp");
   EXPECT_EQ(loc.at("artifactLocation").at("uriBaseId").as_string(), "SRCROOT");
   EXPECT_EQ(loc.at("region").at("startLine").as_int(), 12);
   EXPECT_EQ(loc.at("region").at("startColumn").as_int(), 7);

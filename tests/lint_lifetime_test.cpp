@@ -3,8 +3,8 @@
 // stores, the cross-TU fixpoint closure over the call graph), the three
 // diagnostics over their marker-locked fire/clean fixtures, drain discharge
 // (Run/RunUntil/Step and the Settle fixture idiom) with the inner-frame
-// refusal, `deferred-capture-ok` waivers, SARIF severity tiers, the
-// --timings breakdown, and the --changed-only report filter.
+// refusal, `deferred-capture-ok` waivers, SARIF severity tiers, and the
+// --timings breakdown.
 //
 // Fixture "fire" files carry a `// FIRE` marker on every line that must
 // produce a lifetime-family finding; the tests assert the reported line set
@@ -362,69 +362,6 @@ TEST(LifetimeTimings, NullTimingsPointerCollectsNothing) {
   files.push_back(MakeFileContext("src/sim/tiny.cpp", "int x = 0;\n"));
   // The default-arg path must stay valid for every existing caller.
   EXPECT_TRUE(RunRules(files, {}).empty());
-}
-
-// --- --changed-only report filter --------------------------------------------
-
-std::vector<std::pair<std::string, std::string>> CrossTuTrio() {
-  return {
-      {"src/sim/eng_x.cpp",
-       "struct EngX { void ScheduleAt(long at, std::function<void()> fn); };\n"
-       "void DeferA(EngX& eng, std::function<void()> fn) {\n"
-       "  eng.ScheduleAt(1, std::move(fn));\n"
-       "}\n"},
-      {"src/kb/relay_b.cpp",
-       "struct EngX;\n"
-       "void DeferA(EngX& eng, std::function<void()> fn);\n"
-       "void RelayB(EngX& eng, std::function<void()> fn) {\n"
-       "  DeferA(eng, std::move(fn));\n"
-       "}\n"},
-      {"src/mirto/use_c.cpp",
-       "struct EngX;\n"
-       "void RelayB(EngX& eng, std::function<void()> fn);\n"
-       "void UseC(EngX& eng) {\n"
-       "  int hits = 0;\n"
-       "  RelayB(eng, [&hits] { ++hits; });\n"
-       "}\n"},
-  };
-}
-
-TEST(ChangedOnly, ReportSubsetMatchesTheFullRunByConstruction) {
-  std::vector<FileContext> files;
-  for (const auto& [path, text] : CrossTuTrio()) {
-    files.push_back(MakeFileContext(path, text));
-  }
-  const std::vector<Finding> full = RunRules(files, {});
-  std::vector<Finding> full_on_c;
-  for (const Finding& f : full) {
-    if (f.file == "src/mirto/use_c.cpp") full_on_c.push_back(f);
-  }
-  const std::set<std::string> only_c = {"src/mirto/use_c.cpp"};
-  const std::vector<Finding> restricted = RunRules(files, {}, nullptr, &only_c);
-  ASSERT_EQ(restricted.size(), full_on_c.size());
-  for (std::size_t i = 0; i < restricted.size(); ++i) {
-    EXPECT_EQ(restricted[i].file, full_on_c[i].file);
-    EXPECT_EQ(restricted[i].line, full_on_c[i].line);
-    EXPECT_EQ(restricted[i].rule, full_on_c[i].rule);
-    EXPECT_EQ(restricted[i].message, full_on_c[i].message);
-  }
-  ASSERT_FALSE(restricted.empty())
-      << "the cross-TU finding must survive the filter: its sink chain lives "
-         "in files OUTSIDE the reported set, proving the analysis context "
-         "still spans the whole scanned set";
-}
-
-TEST(ChangedOnly, UnchangedFilesReportNothingButStillFeedTheContext) {
-  std::vector<FileContext> files;
-  for (const auto& [path, text] : CrossTuTrio()) {
-    files.push_back(MakeFileContext(path, text));
-  }
-  // relay_b.cpp itself is finding-free; restricting to it reports nothing.
-  const std::set<std::string> only_b = {"src/kb/relay_b.cpp"};
-  EXPECT_TRUE(RunRules(files, {}, nullptr, &only_b).empty());
-  // An empty report set reports nothing at all.
-  const std::set<std::string> none;
-  EXPECT_TRUE(RunRules(files, {}, nullptr, &none).empty());
 }
 
 }  // namespace

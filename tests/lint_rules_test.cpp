@@ -92,6 +92,25 @@ TEST(LintRules, DeterminismFiresOnEveryForbiddenSource) {
   // Wall clocks (x3), time(nullptr), clock(), random_device, mt19937 (x2),
   // srand, std::rand, std::thread, detach, std::async — at minimum.
   EXPECT_GE(CountRule(findings, "determinism"), 12u);
+  // Each source fires on its own line, so no banned token hides behind
+  // another's finding.
+  const std::string source = ReadFixture("determinism_fire.cpp");
+  for (const char* token :
+       {"system_clock", "steady_clock", "high_resolution_clock",
+        "time(nullptr)", "clock()", "random_device", "mt19937 ", "mt19937_64",
+        "srand", "std::rand", "std::thread", "detach", "std::async"}) {
+    const std::size_t pos = source.find(token);
+    ASSERT_NE(pos, std::string::npos) << token;
+    const int line = 1 + static_cast<int>(std::count(
+                             source.begin(),
+                             source.begin() + static_cast<std::ptrdiff_t>(pos),
+                             '\n'));
+    EXPECT_TRUE(std::any_of(findings.begin(), findings.end(),
+                            [&](const Finding& f) {
+                              return f.rule == "determinism" && f.line == line;
+                            }))
+        << token << " on line " << line;
+  }
 }
 
 TEST(LintRules, DeterminismIgnoresCommentsStringsAndSanctionedSources) {
@@ -133,33 +152,6 @@ TEST(LintRules, DeterminismAllowsThreadsInsideParallelRuntime) {
       LintFixture("determinism_thread_fire.cpp", "src/util/parallel.cpp",
                   {"src/util/parallel."});
   EXPECT_EQ(CountRule(findings, "determinism"), 0u);
-}
-
-TEST(LintRules, DeterminismFiresOnRecorderDumpCodeOutsideBoundary) {
-  // Host-clock dump stamping is only sanctioned under the recorder/exporter
-  // prefixes; the same code elsewhere in src/telemetry must fire.
-  const auto findings = LintFixture(
-      "determinism_recorder_dump_fire.cpp", "src/telemetry/flight_meta.cpp",
-      {"bench/", "src/telemetry/export.", "src/telemetry/recorder."});
-  // system_clock::now + two steady_clock::now reads — at minimum.
-  EXPECT_GE(CountRule(findings, "determinism"), 3u);
-}
-
-TEST(LintRules, DeterminismSanctionsRecorderDumpBoundary) {
-  const auto findings = LintFixture(
-      "determinism_recorder_dump_fire.cpp", "src/telemetry/recorder.cpp",
-      {"bench/", "src/telemetry/export.", "src/telemetry/recorder."});
-  EXPECT_EQ(CountRule(findings, "determinism"), 0u);
-}
-
-TEST(LintRules, SimStampedDumpCodeIsCleanEverywhere) {
-  // The sim-time-parameterized twin never names a host clock, so it passes
-  // under an empty allowlist at any path.
-  const auto findings =
-      LintFixture("determinism_recorder_dump_clean.cpp",
-                  "src/telemetry/flight_meta.cpp");
-  EXPECT_EQ(CountRule(findings, "determinism"), 0u)
-      << "first: " << (findings.empty() ? "" : findings[0].message);
 }
 
 TEST(LintRules, DeterminismSiteAnnotationWaivesOneLine) {

@@ -215,7 +215,7 @@ TEST(MirtoAgent, MonitorRecordsCumulativeEnergyInMillijoules) {
   f.agent->RunMapeIteration();
   auto record = f.agent->registry().GetNode("edge-0");
   ASSERT_TRUE(record.ok()) << record.status();
-  EXPECT_DOUBLE_EQ(record->energy_mj, node->total_energy_mj());
+  EXPECT_DOUBLE_EQ(record->energy_mj.value(), node->total_energy_mj());
 }
 
 TEST(MirtoAgent, OperatingPointsAdaptToIdleness) {

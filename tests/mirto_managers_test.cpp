@@ -451,17 +451,16 @@ TEST(SecurityManager, BatchedPublishMatchesPerKeyPutTrustLoop) {
     }
     const double roll = rng.NextDouble();
     if (roll < 0.2) {
-      // An external writer stores a non-canonical record: the legacy
-      // energy_mw key and an int where ToJson writes a double.
+      // An external writer stores a non-canonical record: missing fields
+      // and ints where ToJson writes doubles.
       const std::string& id = ids[rng.NextBounded(kNodes - 2)];
-      const util::Json legacy = util::Json::MakeObject()
-                                    .Set("node_id", id)
-                                    .Set("layer", "edge")
-                                    .Set("cpu_capacity", 8)
-                                    .Set("energy_mw", 12.5)
-                                    .Set("trust_score", 1);
+      const util::Json noncanonical = util::Json::MakeObject()
+                                          .Set("node_id", id)
+                                          .Set("layer", "edge")
+                                          .Set("cpu_capacity", 8)
+                                          .Set("trust_score", 1);
       both([&](PublishTrustWorld& w) {
-        w.store().Put(kb::ResourceRegistry::NodeKey(id), legacy);
+        w.store().Put(kb::ResourceRegistry::NodeKey(id), noncanonical);
       });
     } else if (roll < 0.3 && !reference_pending.empty()) {
       // Arm the meddler on a pending node and two others: this publish's

@@ -108,7 +108,7 @@ void MapeOracle::Expect() {
       record.cpu_allocated = state->cpu_allocated();
       record.has_accelerator = state->HasAccelerator();
     }
-    record.energy_mj = node->total_energy_mj();
+    record.energy_mj = node->total_energy();
     // Monitor writes the record before Analyze; Execute republishes the
     // trust Analyze moved, so the record ends the iteration with new trust.
     record.trust_score = psm_.TrustOf(id);

@@ -339,7 +339,8 @@ TEST_P(SchedDifferential, VerdictsMatchUnderRandomFleetsAndChurn) {
         id + "/cpu", DeviceKind::kServerCpu,
         2 + static_cast<int>(rng.NextBounded(6)),
         {OperatingPoint{"base"},
-         OperatingPoint{"boost", 1.5 + rng.Uniform(0.0, 1.0), 2000.0, 150.0,
+         OperatingPoint{"boost", 1.5 + rng.Uniform(0.0, 1.0),
+                        util::MilliWatts(2000.0), util::MilliWatts(150.0),
                         1.0}}));
     if (rng.NextBool(0.3)) {
       node->AddDevice(Device(id + "/fpga", DeviceKind::kFpgaAccelerator, 1,
@@ -540,8 +541,10 @@ TEST_P(SchedDifferential, SameShapeBatchesMatchUnderInterleavedChurn) {
     node->AddDevice(Device(
         id + "/cpu", DeviceKind::kServerCpu, units,
         {OperatingPoint{"base"},
-         OperatingPoint{"boost", boost, 2000.0, 150.0, 1.0},
-         OperatingPoint{"eco", 0.5, 500.0, 50.0, 1.0}}));
+         OperatingPoint{"boost", boost, util::MilliWatts(2000.0),
+                        util::MilliWatts(150.0), 1.0},
+         OperatingPoint{"eco", 0.5, util::MilliWatts(500.0),
+                        util::MilliWatts(50.0), 1.0}}));
     cluster.AddNode(node.get(), {{"zone", zone}});
     nodes.push_back(std::move(node));
     ids.push_back(id);
@@ -568,7 +571,8 @@ TEST_P(SchedDifferential, SameShapeBatchesMatchUnderInterleavedChurn) {
                                               security::SecurityLevel::kHigh,
                                               1024);
     zero->AddDevice(Device("z0/cpu", DeviceKind::kServerCpu, 1,
-                           {OperatingPoint{"off", 0.0, 0.0, 0.0, 1.0}}));
+                           {OperatingPoint{"off", 0.0, util::MilliWatts(),
+                                           util::MilliWatts(), 1.0}}));
     cluster.AddNode(zero.get(), {{"zone", "a"}});
     nodes.push_back(std::move(zero));
     ids.push_back("z0");
@@ -639,21 +643,15 @@ TEST_P(SchedDifferential, SameShapeBatchesMatchUnderInterleavedChurn) {
                               target, rng.Uniform(0.0, state->cpu_capacity()))
                           .ok());
           break;
-        case 6: {
-          // Never below what the node itself has reserved, or a bind the
-          // scheduler admits could still fail on the node's own ledger.
-          const std::uint64_t reserved = state->node->mem_allocated_mb();
+        case 6:
+          // Anywhere up to capacity, also below what the node itself has
+          // reserved: the cluster clamps the column at that reservation.
           ASSERT_TRUE(cluster
                           .SetReflectedMemAllocation(
                               target,
-                              reserved +
-                                  rng.NextBounded(
-                                      util::SubSat(state->mem_capacity_mb(),
-                                                   reserved) +
-                                      1))
+                              rng.NextBounded(state->mem_capacity_mb() + 1))
                           .ok());
           break;
-        }
         case 7:
           if (!bound.empty()) {
             const std::size_t k = rng.NextBounded(bound.size());
@@ -697,7 +695,8 @@ TEST(SchedDifferential, ZeroCapacityNodeTakesOnlyZeroCpuPods) {
   ComputeNode zero(engine, "z0", Layer::kEdge, "test",
                    security::SecurityLevel::kLow, 1024);
   zero.AddDevice(Device("z0/cpu", DeviceKind::kServerCpu, 1,
-                        {OperatingPoint{"off", 0.0, 0.0, 0.0, 1.0},
+                        {OperatingPoint{"off", 0.0, util::MilliWatts(),
+                                        util::MilliWatts(), 1.0},
                          OperatingPoint{"on"}}));
   cluster.AddNode(&zero);
   ASSERT_EQ(zero.CpuCapacity(), 0.0);

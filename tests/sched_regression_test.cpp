@@ -1,7 +1,8 @@
 // Regression tests for control-plane accounting bugs: unsigned underflow in
-// the free-memory math, NodeState/ComputeNode memory-ledger drift, and
-// preemption stranding its victims when the post-eviction rebind fails.
-// (The energy-unit regression is covered in mirto_agent_test/kb_store_test.)
+// the free-memory math, NodeState/ComputeNode memory-ledger drift, memory
+// reflections below a node's reservation, and preemption stranding its
+// victims when the post-eviction rebind fails. (The energy-unit bug shape no
+// longer compiles; see util_units_test and mirto_agent_test.)
 #include <gtest/gtest.h>
 
 #include "continuum/infrastructure.hpp"
@@ -106,6 +107,48 @@ TEST(Regression, LedgersStayEqualWhenReflectionLandsMidFlight) {
   auto rebound = f.cluster.BindPodToNode(big, "edge-0");
   ASSERT_TRUE(rebound.ok()) << rebound.status();
   ExpectLedgersEqual(f.cluster);
+}
+
+// A memory reflection below the node's own reservation used to lower the
+// scheduler's column under what the ComputeNode had reserved: Schedule then
+// admitted pods that CommitBind's ReserveMemory refused, so BindPod failed
+// with a node chosen. The column is now clamped at the reservation, and
+// every pod the scheduler places on the node commits there.
+TEST(Regression, ReflectionBelowReservationNeverAdmitsAnUncommittableBind) {
+  Fixture f;
+  NodeState* edge = f.cluster.FindNodeState("edge-0");
+  ASSERT_NE(edge, nullptr);
+  ASSERT_TRUE(f.cluster.SetNodeLabel("edge-0", "pin", "1").ok());
+
+  PodSpec tenant;
+  tenant.name = "tenant";
+  tenant.cpu_request = 0.2;
+  tenant.mem_request_mb = 256;
+  ASSERT_TRUE(f.cluster.BindPodToNode(tenant, "edge-0").ok());
+  ASSERT_TRUE(f.cluster.SetReflectedMemAllocation("edge-0", 0).ok());
+  ExpectLedgersEqual(f.cluster);
+
+  // One pod that fits what the node has left, one that fits only a column
+  // below the reservation.
+  const std::uint64_t left = edge->mem_capacity_mb() - 256;
+  for (const std::uint64_t mem : {left + 128, left}) {
+    PodSpec pod;
+    pod.name = "pod-" + std::to_string(mem);
+    pod.cpu_request = 0.1;
+    pod.mem_request_mb = mem;
+    pod.node_selector["pin"] = "1";
+    auto dry = f.cluster.DryRunSchedule(pod);
+    if (!dry.ok()) {
+      EXPECT_GT(mem, left);
+      continue;
+    }
+    EXPECT_EQ(dry->node_id, "edge-0");
+    auto bound = f.cluster.BindPod(pod);
+    ASSERT_TRUE(bound.ok()) << pod.name << ": " << bound.status();
+    EXPECT_EQ(*bound, "edge-0");
+    ExpectLedgersEqual(f.cluster);
+  }
+  EXPECT_EQ(edge->MemFreeMb(), 0u);
 }
 
 // Preemption used to evict victims, fail the post-eviction rebind (a filter

@@ -1,15 +1,35 @@
-// Unit tests for src/util/units.hpp — the conversion vocabulary the
-// unit-mismatch lint rule recognizes, and the SubSat clamp the
-// unsigned-underflow rule recommends.
+// Unit tests for src/util/units.hpp — the power/energy type pair and the
+// SubSat clamp the unsigned-underflow rule recommends.
 #include "util/units.hpp"
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
 namespace myrtus::util {
 namespace {
+
+template <typename A, typename B>
+concept Addable = requires(A a, B b) { a + b; };
+template <typename A, typename B>
+concept Comparable = requires(A a, B b) { a < b; };
+
+// The `energy_mw` bug shape — a power figure stored where energy belongs —
+// does not compile: power converts to neither energy nor a raw double, and
+// energy cannot be built from power at all.
+static_assert(!std::is_convertible_v<MilliWatts, MilliJoules>);
+static_assert(!std::is_convertible_v<MilliWatts, double>);
+static_assert(!std::is_constructible_v<MilliJoules, MilliWatts>);
+static_assert(!std::is_assignable_v<MilliJoules&, MilliWatts>);
+static_assert(!std::is_convertible_v<MilliJoules, double>);
+static_assert(!std::is_convertible_v<double, MilliWatts>);
+static_assert(!std::is_convertible_v<double, MilliJoules>);
+static_assert(!Addable<MilliWatts, MilliJoules>);
+static_assert(!Addable<MilliJoules, double>);
+static_assert(!Comparable<MilliWatts, MilliJoules>);
+static_assert(std::is_same_v<decltype(MilliWatts(1.0) * 1.0), MilliJoules>);
 
 TEST(SubSat, ClampsAtZero) {
   EXPECT_EQ(SubSat<std::uint64_t>(10, 3), 7u);
@@ -24,48 +44,22 @@ TEST(SubSat, ClampsAtZero) {
   static_assert(SubSat(alloc, cap) == 1024);
 }
 
-TEST(TimeConversions, IntegerGridRoundTrips) {
-  EXPECT_EQ(MsToNs(1), 1000000u);
-  EXPECT_EQ(MsToUs(1), 1000u);
-  EXPECT_EQ(UsToNs(1), 1000u);
-  EXPECT_EQ(NsToMs(MsToNs(250)), 250u);
-  EXPECT_EQ(NsToUs(UsToNs(77)), 77u);
-  EXPECT_EQ(UsToMs(MsToUs(42)), 42u);
-  // Downward conversions floor, ledger-style.
-  EXPECT_EQ(NsToMs(1999999), 1u);
-  EXPECT_EQ(NsToUs(999), 0u);
-}
-
-TEST(TimeConversions, SecondsAreDouble) {
-  EXPECT_DOUBLE_EQ(NsToS(1500000000), 1.5);
-  EXPECT_DOUBLE_EQ(UsToS(250000), 0.25);
-  EXPECT_DOUBLE_EQ(MsToS(1500), 1.5);
-  EXPECT_EQ(SToNs(1.5), 1500000000u);
-  EXPECT_EQ(SToUs(0.25), 250000u);
-  EXPECT_EQ(SToMs(1.5), 1500u);
-}
-
-TEST(ByteConversions, PowersOfTwo) {
-  EXPECT_EQ(KbToB(1), 1024u);
-  EXPECT_EQ(MbToB(1), 1024u * 1024u);
-  EXPECT_EQ(MbToKb(2), 2048u);
-  EXPECT_EQ(BToKb(4096), 4u);
-  EXPECT_EQ(BToMb(3u * 1024u * 1024u), 3u);
-  EXPECT_EQ(KbToMb(2048), 2u);
-  EXPECT_EQ(BToKb(1023), 0u);  // floors
-}
-
-TEST(RatioConversions, PctFrac) {
-  EXPECT_DOUBLE_EQ(PctToFrac(85.0), 0.85);
-  EXPECT_DOUBLE_EQ(FracToPct(0.125), 12.5);
-  EXPECT_DOUBLE_EQ(FracToPct(PctToFrac(33.0)), 33.0);
-}
-
-TEST(EnergyConversions, PowerTimesDurationIsEnergy) {
+TEST(PowerEnergy, PowerTimesDurationIsEnergy) {
   // 200 mW sustained for 3 s = 600 mJ.
-  EXPECT_DOUBLE_EQ(MwToMj(200.0, 3.0), 600.0);
-  EXPECT_DOUBLE_EQ(MjToMw(600.0, 3.0), 200.0);
-  EXPECT_DOUBLE_EQ(MjToMw(600.0, 0.0), 0.0);  // degenerate duration
+  static_assert((MilliWatts(200.0) * 3.0).value() == 600.0);
+  EXPECT_DOUBLE_EQ((MilliWatts(200.0) * 0.0).value(), 0.0);
+}
+
+TEST(PowerEnergy, SameUnitArithmetic) {
+  MilliJoules total;
+  EXPECT_DOUBLE_EQ(total.value(), 0.0);
+  total += MilliJoules(1.5);
+  total += MilliJoules(2.25);
+  EXPECT_DOUBLE_EQ(total.value(), 3.75);
+  EXPECT_DOUBLE_EQ((total - MilliJoules(0.75)).value(), 3.0);
+  EXPECT_DOUBLE_EQ((MilliWatts(100.0) + MilliWatts(20.0)).value(), 120.0);
+  EXPECT_TRUE(MilliJoules(1.0) < MilliJoules(2.0));
+  EXPECT_FALSE(MilliWatts(2.0) < MilliWatts(2.0));
 }
 
 }  // namespace

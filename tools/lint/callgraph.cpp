@@ -405,7 +405,7 @@ Operand ParseOperandBackward(const std::string& code, std::size_t end_pos) {
     std::size_t ib = i;
     while (ib > 0 && IsIdentifierChar(code[ib - 1])) --ib;
     if (ib == i) {
-      // A bare parenthesized expression `( ... )` is not unit-simple.
+      // A bare parenthesized expression `( ... )` is not simple.
       if (had_group) return {};
       return {};
     }
@@ -440,7 +440,7 @@ Operand ParseOperandForward(const std::string& code, std::size_t pos,
   op.begin = p;
   while (p < limit && (code[p] == '-' || code[p] == '+' || code[p] == '!' ||
                        code[p] == '~')) {
-    // `--` / `++` prefixes are writes, not unit-simple reads.
+    // `--` / `++` prefixes are writes, not simple reads.
     if (p + 1 < limit && code[p + 1] == code[p] &&
         (code[p] == '-' || code[p] == '+')) {
       return {};
@@ -640,7 +640,7 @@ void AugmentStatusRegistry(const std::vector<FileContext>& files,
                                             sym.body_end);
          pos != std::string::npos;
          pos = FindTokenInRange(code, "return", pos + 1, sym.body_end)) {
-      // `return <unit-simple call>;` — the operand parser accepts qualified
+      // `return <simple call>;` — the operand parser accepts qualified
       // and member callees alike, and rejects anything with extra operators
       // (`return F() + 1` does not forward a Status).
       const Operand ret = ParseOperandForward(code, pos + 6, sym.body_end);

@@ -1,6 +1,6 @@
 // Cross-translation-unit symbol table and call graph for myrtus_lint's
-// interprocedural rule families (unit-mismatch, unsigned-underflow, and the
-// transitive half of status-discard).
+// interprocedural rule families (unsigned-underflow, capture lifetime, and
+// the transitive half of status-discard).
 //
 // The table is built from the same syntactic FileAsts the flow rules use —
 // no real name lookup, no overload resolution, no template instantiation.
@@ -111,9 +111,9 @@ TypeFacts CollectTypeFacts(const std::vector<FileContext>& files,
                            const std::vector<FileAst>& asts,
                            const CallGraph& graph);
 
-/// A "unit-simple" expression operand: a numeric literal, or an identifier
+/// A "simple" expression operand: a numeric literal, or an identifier
 /// chain (`a`, `obj.field_ms`, `ns::f(x)`, `ptr->cap_mb()[i]`) optionally
-/// ending in a call. Anything with top-level operators is NOT unit-simple and
+/// ending in a call. Anything with top-level operators is NOT simple and
 /// parses as invalid — the interprocedural rules deliberately reason only
 /// about operands they can read exactly.
 struct Operand {
@@ -126,11 +126,11 @@ struct Operand {
   bool valid = false;
 };
 
-/// Parses the unit-simple operand ending at (exclusive) `end_pos`, walking
+/// Parses the simple operand ending at (exclusive) `end_pos`, walking
 /// backwards over trailing `()`/`[]` groups and `.`/`->`/`::` links.
 Operand ParseOperandBackward(const std::string& code, std::size_t end_pos);
 
-/// Parses the unit-simple operand starting at/after `pos` (whitespace and
+/// Parses the simple operand starting at/after `pos` (whitespace and
 /// unary +/-/!/~ skipped), never reading past `limit`.
 Operand ParseOperandForward(const std::string& code, std::size_t pos,
                             std::size_t limit);

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "util/json.hpp"
@@ -188,10 +187,6 @@ std::string SarifReport(const LintResult& result) {
       {"rng-substream-discipline",
        "Randomness is drawn from named util::Rng substreams; ad-hoc seeding "
        "breaks run reproducibility."},
-      {"unit-mismatch",
-       "Suffix-inferred units of measure (_ns/_ms/_b/_mb/_mw/_mj/_pct/...) "
-       "must agree across assignment, additive arithmetic, comparison, and "
-       "argument passing, or cross through a named util conversion helper."},
       {"unsigned-underflow",
        "Unsigned subtraction needs a dominating guard (a >= b branch, "
        "std::min clamp) or util::SubSat; otherwise the difference can wrap."},
@@ -302,10 +297,8 @@ util::StatusOr<LintResult> LintPaths(const std::vector<std::string>& paths,
   }
 
   std::vector<Suppression> suppressions;
-  fs::path sup_path = options.suppressions_path.empty()
-                          ? root / "tools" / "lint" / "suppressions.txt"
-                          : fs::path(options.suppressions_path);
-  if (!options.suppressions_path.empty() || fs::exists(sup_path)) {
+  const fs::path sup_path = root / "tools" / "lint" / "suppressions.txt";
+  if (fs::exists(sup_path)) {
     auto text = ReadFile(sup_path);
     if (!text.ok()) return text.status();
     auto parsed = ParseSuppressions(*text, RepoRelative(sup_path, root));
@@ -315,12 +308,8 @@ util::StatusOr<LintResult> LintPaths(const std::vector<std::string>& paths,
 
   LintResult result;
   result.files_scanned = contexts.size();
-  std::set<std::string> report_set(options.report_paths.begin(),
-                                   options.report_paths.end());
   for (Finding& f : RunRules(contexts, options.determinism_allowlist,
                              options.collect_timings ? &result.timings
-                                                     : nullptr,
-                             options.restrict_report ? &report_set
                                                      : nullptr)) {
     bool suppressed = false;
     for (Suppression& sup : suppressions) {

@@ -41,8 +41,6 @@ struct Options {
   /// All scanned paths are reported relative to this root, so suppressions
   /// stay stable regardless of where the binary runs.
   std::string repo_root = ".";
-  /// Empty = use <repo_root>/tools/lint/suppressions.txt when present.
-  std::string suppressions_path;
   /// Path prefixes where host time/threads are legitimate: bench drivers
   /// measure wall-clock by design, the telemetry exporters (which also write
   /// the span ring's fault dumps) are the designated boundary where host
@@ -53,12 +51,6 @@ struct Options {
   /// util::ParallelFor/ParallelMap.
   std::vector<std::string> determinism_allowlist = {
       "bench/", "src/telemetry/export.", "src/util/parallel."};
-  /// --changed-only: when true, only findings on `report_paths`
-  /// (repo-relative) are reported. The whole scanned set still feeds the
-  /// cross-TU analysis, so the reported subset matches a full run exactly.
-  /// An empty report_paths with restrict_report=true reports nothing.
-  bool restrict_report = false;
-  std::vector<std::string> report_paths;
   /// --timings: collect the per-family wall-time breakdown into
   /// LintResult::timings.
   bool collect_timings = false;
@@ -68,8 +60,8 @@ struct LintResult {
   std::vector<Finding> findings;  // unsuppressed only
   std::size_t files_scanned = 0;
   std::size_t suppressed = 0;
-  /// Suppressions that matched nothing this run (stale entries; reported as
-  /// warnings, not failures, so allowlist-style entries may stay).
+  /// In-scope suppressions that matched nothing this run: stale entries,
+  /// which fail the run.
   std::vector<Suppression> unused_suppressions;
   /// Per-rule-family wall time (only populated under Options::collect_timings).
   std::vector<FamilyTiming> timings;
@@ -87,7 +79,7 @@ std::string SarifReport(const LintResult& result);
 
 /// Walks `paths` (files or directories, relative to Options::repo_root),
 /// lexes every .cpp/.hpp (skipping lint fixture trees), runs all rules, and
-/// filters through the suppression list.
+/// filters through <repo_root>/tools/lint/suppressions.txt when present.
 util::StatusOr<LintResult> LintPaths(const std::vector<std::string>& paths,
                                      const Options& options);
 

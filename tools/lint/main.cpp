@@ -1,8 +1,6 @@
 // myrtus_lint — project-invariant static analyzer for the MYRTUS tree.
 //
-//   myrtus_lint [--repo-root=DIR] [--suppressions=FILE]
-//               [--allow-stale-suppressions] [--max-ms=N] [--sarif=FILE]
-//               [--timings] [--changed-only[=REF]]
+//   myrtus_lint [--repo-root=DIR] [--max-ms=N] [--sarif=FILE] [--timings]
 //               <path>...
 //
 // Prints one `file:line:col: rule-id: message` per unsuppressed finding
@@ -12,18 +10,10 @@
 // uploads; the console format stays the source of truth.
 //
 // --timings prints a per-rule-family wall-time breakdown to stderr.
-// --changed-only[=REF] reports findings only for files that differ from REF
-// (default HEAD: working-tree edits) plus untracked files — fast local
-// iteration with full-run fidelity, because the cross-TU analysis context is
-// still built from every scanned file. Implies --allow-stale-suppressions
-// (suppressions for unchanged files cannot match on a filtered run).
 //
 // Exit codes: 0 = clean, 1 = findings, stale suppressions, or the --max-ms
 // budget blown, 2 = usage or I/O error. A suppression that matched nothing is
-// stale: it outlived the finding it justified and must be deleted (or the run
-// re-invoked with --allow-stale-suppressions while a fix is split across
-// commits).
-#include <cctype>
+// stale: it outlived the finding it justified and must be deleted.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -33,88 +23,25 @@
 
 #include "lint.hpp"
 
-namespace {
-
-/// Changed-file discovery for --changed-only: `git diff --name-only REF`
-/// (committed + staged + working-tree differences) plus untracked files.
-/// Returns false when git is unavailable or REF does not resolve.
-bool GitChangedFiles(const std::string& repo_root, const std::string& ref,
-                     std::vector<std::string>* out) {
-  // REF reaches a shell; restrict it to git-refname characters so the
-  // command stays inert ("origin/main", "HEAD~2", "abc123").
-  for (char c : ref) {
-    if (std::isalnum(static_cast<unsigned char>(c)) == 0 &&
-        c != '_' && c != '.' && c != '/' && c != '~' && c != '^' &&
-        c != '-') {
-      std::fprintf(stderr,
-                   "myrtus_lint: --changed-only: invalid character in ref "
-                   "'%s'\n",
-                   ref.c_str());
-      return false;
-    }
-  }
-  if (repo_root.find('\'') != std::string::npos) return false;
-  const std::string git = "git -C '" + repo_root + "' ";
-  const std::string cmd = git + "diff --name-only '" + ref +
-                          "' -- 2>/dev/null && " + git +
-                          "ls-files --others --exclude-standard 2>/dev/null";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return false;
-  std::string text;
-  char buf[4096];
-  while (std::fgets(buf, sizeof buf, pipe) != nullptr) text += buf;
-  const int rc = pclose(pipe);
-  if (rc != 0) {
-    std::fprintf(stderr,
-                 "myrtus_lint: --changed-only: git diff against '%s' failed "
-                 "(not a repository, or unknown ref)\n",
-                 ref.c_str());
-    return false;
-  }
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    if (end > start) out->push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   myrtus::lint::Options options;
   std::vector<std::string> paths;
-  bool allow_stale = false;
-  bool changed_only = false;
-  std::string changed_ref = "HEAD";
   long max_ms = 0;
   std::string sarif_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--repo-root=", 0) == 0) {
       options.repo_root = arg.substr(12);
-    } else if (arg.rfind("--suppressions=", 0) == 0) {
-      options.suppressions_path = arg.substr(15);
-    } else if (arg == "--allow-stale-suppressions") {
-      allow_stale = true;
     } else if (arg.rfind("--max-ms=", 0) == 0) {
       max_ms = std::strtol(arg.c_str() + 9, nullptr, 10);
     } else if (arg.rfind("--sarif=", 0) == 0) {
       sarif_path = arg.substr(8);
     } else if (arg == "--timings") {
       options.collect_timings = true;
-    } else if (arg == "--changed-only") {
-      changed_only = true;
-    } else if (arg.rfind("--changed-only=", 0) == 0) {
-      changed_only = true;
-      changed_ref = arg.substr(15);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: myrtus_lint [--repo-root=DIR] [--suppressions=FILE] "
-          "[--allow-stale-suppressions] [--max-ms=N] [--sarif=FILE] "
-          "[--timings] [--changed-only[=REF]] <path>...\n");
+          "usage: myrtus_lint [--repo-root=DIR] [--max-ms=N] [--sarif=FILE] "
+          "[--timings] <path>...\n");
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "myrtus_lint: unknown flag '%s'\n", arg.c_str());
@@ -126,17 +53,6 @@ int main(int argc, char** argv) {
   if (paths.empty()) {
     std::fprintf(stderr, "myrtus_lint: no paths given (try: src tests bench)\n");
     return 2;
-  }
-  if (changed_only) {
-    if (!GitChangedFiles(options.repo_root, changed_ref,
-                         &options.report_paths)) {
-      return 2;
-    }
-    options.restrict_report = true;
-    allow_stale = true;  // suppressions for unchanged files cannot match
-    std::fprintf(stderr,
-                 "myrtus_lint: --changed-only: %zu file(s) differ from %s\n",
-                 options.report_paths.size(), changed_ref.c_str());
   }
 
   // The analyzer is host tooling, not simulation code: wall time here gates
@@ -182,11 +98,11 @@ int main(int argc, char** argv) {
   bool failed = !result->findings.empty();
   for (const myrtus::lint::Suppression& sup : result->unused_suppressions) {
     std::fprintf(stderr,
-                 "myrtus_lint: %s: suppression matched nothing this run: "
+                 "myrtus_lint: error: suppression matched nothing this run: "
                  "%s %s (%s)\n",
-                 allow_stale ? "note" : "error", sup.rule.c_str(),
-                 sup.path_pattern.c_str(), sup.reason.c_str());
-    if (!allow_stale) failed = true;
+                 sup.rule.c_str(), sup.path_pattern.c_str(),
+                 sup.reason.c_str());
+    failed = true;
   }
   if (max_ms > 0 && elapsed_ms > max_ms) {
     std::fprintf(stderr,

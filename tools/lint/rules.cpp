@@ -12,7 +12,6 @@
 #include "lexer.hpp"
 #include "lifetime_rules.hpp"
 #include "underflow_rules.hpp"
-#include "unit_rules.hpp"
 
 namespace myrtus::lint {
 namespace {
@@ -344,8 +343,7 @@ bool HasSiteAnnotation(const FileContext& file, int line, const std::string& rul
 
 std::vector<Finding> RunRules(const std::vector<FileContext>& files,
                               const std::vector<std::string>& determinism_allowlist,
-                              std::vector<FamilyTiming>* timings,
-                              const std::set<std::string>* report_only) {
+                              std::vector<FamilyTiming>* timings) {
   // Per-family wall-time accounting for the CLI's --timings breakdown. The
   // analyzer is host tooling measuring its own latency, never feeding a
   // simulated result.
@@ -384,9 +382,6 @@ std::vector<Finding> RunRules(const std::vector<FileContext>& files,
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
     const FileContext& file = files[fi];
     const FileAst& ast = asts[fi];
-    // The per-file families are file-local, so skipping unreported files
-    // cannot change the findings on the reported subset (--changed-only).
-    if (report_only != nullptr && report_only->count(file.path) == 0) continue;
     std::vector<Finding> file_findings;
     timed("lexical", [&] {
       const bool time_allowed = std::any_of(
@@ -420,19 +415,13 @@ std::vector<Finding> RunRules(const std::vector<FileContext>& files,
     }
   }
   // The cross-file families run once over the whole set (duplicate stream
-  // identities, argument-passing across TUs); annotations are honored per
-  // site, and --changed-only filters their findings after the fact — the
-  // analysis context is always the full file set.
+  // identities, guards and sinks across TUs); annotations are honored per
+  // site.
   std::map<std::string, const FileContext*> by_path;
   for (const FileContext& file : files) by_path[file.path] = &file;
   std::vector<Finding> cross;
   timed("rng-substream-discipline", [&] {
     for (Finding& f : CheckRngDiscipline(files, asts)) {
-      cross.push_back(std::move(f));
-    }
-  });
-  timed("unit-mismatch", [&] {
-    for (Finding& f : CheckUnitMismatch(files, asts, graph)) {
       cross.push_back(std::move(f));
     }
   });
@@ -449,7 +438,6 @@ std::vector<Finding> RunRules(const std::vector<FileContext>& files,
     }
   });
   for (Finding& f : cross) {
-    if (report_only != nullptr && report_only->count(f.file) == 0) continue;
     const auto it = by_path.find(f.file);
     if (it != by_path.end() && HasSiteAnnotation(*it->second, f.line, f.rule)) {
       continue;

@@ -92,15 +92,9 @@ struct FamilyTiming {
 /// Findings are ordered by (file, line, rule).
 ///
 /// `timings`, when non-null, receives the per-family wall-time breakdown.
-/// `report_only`, when non-null, restricts *reported* findings to the given
-/// repo-relative paths (the --changed-only mode): the cross-TU analysis
-/// context is still built from every file, so the findings on the reported
-/// subset are byte-identical to a full run's — only per-file rule execution
-/// for unreported files is skipped (those families are file-local).
 std::vector<Finding> RunRules(const std::vector<FileContext>& files,
                               const std::vector<std::string>& determinism_allowlist,
-                              std::vector<FamilyTiming>* timings = nullptr,
-                              const std::set<std::string>* report_only = nullptr);
+                              std::vector<FamilyTiming>* timings = nullptr);
 
 /// True when the finding at `line` (1-based) carries a
 /// `LINT: allow(<rule>` or — for status-discard — `LINT: discard(`

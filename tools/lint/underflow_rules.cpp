@@ -188,7 +188,7 @@ bool WritesTo(const std::string& code, std::size_t begin, std::size_t end,
 }
 
 /// Facts generated by `x = std::min(A, B)`-shaped assignments (declarations
-/// included) in [begin, end): each unit-simple argument A yields A >= x.
+/// included) in [begin, end): each simple argument A yields A >= x.
 /// This is how `take = std::min(len, space); ...; len -= take;` passes.
 void GenMinAssignFacts(const std::string& code, std::size_t begin,
                        std::size_t end, const std::set<std::string>& needed,
@@ -217,7 +217,7 @@ void GenMinAssignFacts(const std::string& code, std::size_t begin,
     }
     const Operand lhs = ParseOperandBackward(code, b - 1);
     if (!lhs.valid || lhs.is_call || lhs.is_literal) continue;
-    // Two top-level arguments; each unit-simple one bounds the lhs.
+    // Two top-level arguments; each simple one bounds the lhs.
     int depth = 0;
     std::size_t arg_begin = open + 1;
     std::vector<std::pair<std::size_t, std::size_t>> arg_spans;
