@@ -156,9 +156,10 @@ void BM_RegistryAppendTelemetry(benchmark::State& state) {
 BENCHMARK(BM_RegistryAppendTelemetry);
 
 void BM_RegistryPublishTrust(benchmark::State& state) {
-  // One node's changed trust score published into a 1k-node registry that
-  // a MIRTO agent watches. Outcomes alternate per sweep so every publish
-  // carries a new value.
+  // One node's trust transition (its first failure after successes, or the
+  // reverse) written into a 1k-node registry that a MIRTO agent watches.
+  // Outcomes alternate per sweep, so every outcome is a transition and every
+  // publish writes one record.
   constexpr int kNodes = 1000;
   kb::Store store;
   kb::ResourceRegistry registry(store);
@@ -172,9 +173,9 @@ void BM_RegistryPublishTrust(benchmark::State& state) {
   // publish loop below; the store and the counter die with this frame together
   store.Watch("/registry/nodes/", [&](const kb::WatchEvent&) { ++events; });
   mirto::PrivacySecurityManager psm;
-  std::size_t i = 0;
+  std::uint64_t i = 0;
   for (auto _ : state) {
-    psm.RecordOutcome(ids[i % kNodes], (i / kNodes) % 2 == 1);
+    psm.RecordOutcome(ids[i % kNodes], (i / kNodes) % 2 == 1, i);
     psm.PublishTrust(registry);
     ++i;
   }
@@ -182,46 +183,6 @@ void BM_RegistryPublishTrust(benchmark::State& state) {
   state.counters["events"] = static_cast<double>(events);
 }
 BENCHMARK(BM_RegistryPublishTrust);
-
-void BM_RegistryPublishTrustHealing(benchmark::State& state) {
-  // One MAPE iteration's trust publish while nodes heal after churn: 535
-  // nodes whose trust moved (the churn_recovery average), in a 1k-node
-  // registry watched by the publishing agent, whose own writes skip its
-  // watch. Outcomes alternate per iteration so every node is pending each
-  // time. Counter `write` is host time per trust write.
-  constexpr int kNodes = 1000;
-  constexpr int kHealing = 535;
-  kb::Store store;
-  kb::ResourceRegistry registry(store);
-  std::vector<std::string> ids;
-  for (int n = 0; n < kNodes; ++n) {
-    ids.push_back("node-" + std::to_string(n));
-    registry.PutNode({.node_id = ids.back(), .layer = "edge", .kind = "hmpsoc"});
-  }
-  std::uint64_t events = 0;
-  // LINT: deferred-capture-ok(default) -- the watcher only fires inside the
-  // publish loop below; the store and the counter die with this frame together
-  const std::int64_t watch =
-      store.Watch("/registry/nodes/", [&](const kb::WatchEvent&) { ++events; });
-  mirto::PrivacySecurityManager psm;
-  bool success = false;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (int k = 0; k < kHealing; ++k) {
-      psm.RecordOutcome(ids[static_cast<std::size_t>(k * kNodes / kHealing)],
-                        success);
-    }
-    success = !success;
-    state.ResumeTiming();
-    psm.PublishTrust(registry, watch);
-  }
-  benchmark::DoNotOptimize(events);
-  state.counters["events"] = static_cast<double>(events);
-  state.counters["write"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kHealing,
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-BENCHMARK(BM_RegistryPublishTrustHealing);
 
 void PrintFailoverTable(bench::Report& report) {
   std::printf("=== A2b: leader failover downtime (5 replicas, 2ms links) ===\n");

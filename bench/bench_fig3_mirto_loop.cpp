@@ -276,9 +276,11 @@ void BM_TrustUpdateSweep(benchmark::State& state) {
   mirto::PrivacySecurityManager psm;
   const int nodes = static_cast<int>(state.range(0));
   util::Rng rng(3);
+  std::uint64_t sweep = 0;
   for (auto _ : state) {
+    ++sweep;
     for (int i = 0; i < nodes; ++i) {
-      psm.RecordOutcome("node-" + std::to_string(i), rng.NextBool(0.95));
+      psm.RecordOutcome("node-" + std::to_string(i), rng.NextBool(0.95), sweep);
     }
     benchmark::DoNotOptimize(psm.VetoedNodes());
   }

@@ -75,9 +75,10 @@ void BM_BB_TrustUpdates(benchmark::State& state) {
     slots.push_back(psm.Slot("node-" + std::to_string(n)));
   }
   util::Rng rng(2);
-  std::size_t i = 0;
+  std::uint64_t i = 0;
   for (auto _ : state) {
-    psm.RecordOutcome(slots[i++ % slots.size()], rng.NextBool(0.9));
+    psm.RecordOutcome(slots[i % slots.size()], rng.NextBool(0.9), i);
+    ++i;
     benchmark::DoNotOptimize(psm.TrustOf(slots[0]));
   }
 }

@@ -108,7 +108,8 @@ int main() {
   for (const kb::NodeRecord& record : agent.registry().ListNodes()) {
     std::printf("  %-8s layer=%-5s trust=%.2f ready=%d\n",
                 record.node_id.c_str(), record.layer.c_str(),
-                record.trust_score, record.ready ? 1 : 0);
+                kb::TrustAt(record, stats.mape_iterations),
+                record.ready ? 1 : 0);
   }
   agent.Stop();
   std::printf("\nquickstart done.\n");

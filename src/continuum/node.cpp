@@ -102,11 +102,7 @@ std::size_t ComputeNode::BestDeviceFor(const TaskDemand& demand) const {
 void ComputeNode::Submit(const TaskDemand& demand, std::size_t device_index,
                          CompletionFn done) {
   if (!up_ || device_index >= devices_.size()) {
-    // Report an infinite-latency failure marker by never calling back would
-    // deadlock callers; instead deliver a zero-service report with the node
-    // marked down via `node_id` suffix. Callers check node state first; this
-    // is a defensive path.
-    return;
+    return;  // dropped without calling `done`: callers check up() first
   }
   const ExecutionEstimate est = devices_[device_index].Estimate(demand);
   const sim::SimTime now = engine_.Now();

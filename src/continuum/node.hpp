@@ -66,7 +66,9 @@ class ComputeNode {
 
   using CompletionFn = std::function<void(const TaskReport&)>;
   /// Enqueues `demand` on device `device_index` (FIFO per device). The
-  /// completion callback fires at simulated finish time.
+  /// completion callback fires at simulated finish time. A down node, or an
+  /// unknown device, drops the task and never calls `done`: callers check
+  /// up() right before submitting.
   void Submit(const TaskDemand& demand, std::size_t device_index,
               CompletionFn done);
   /// Enqueues on the best device.

@@ -1,92 +1,8 @@
 #include "kb/registry.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace myrtus::kb {
-namespace {
-
-bool SameType(const util::Json& a, const util::Json& b) {
-  return a.is_bool() == b.is_bool() && a.is_int() == b.is_int() &&
-         a.is_double() == b.is_double() && a.is_string() == b.is_string();
-}
-
-// True when `j` has exactly the fields and value types NodeRecord::ToJson
-// writes, so a FromJson → ToJson round trip would reproduce it unchanged.
-bool IsCanonicalNodeRecord(const util::Json& j) {
-  static const util::Json kShape = NodeRecord{}.ToJson();
-  if (!j.is_object() || j.fields().size() != kShape.fields().size()) {
-    return false;
-  }
-  auto want = kShape.fields().begin();
-  for (const auto& [key, value] : j.fields()) {
-    if (key != want->first || !SameType(value, want->second)) return false;
-    ++want;
-  }
-  // FromJson narrows security_level to int.
-  const std::int64_t level = j.at("security_level").as_int();
-  return level == static_cast<int>(level);
-}
-
-// Sets trust_score on a stored node record. Unless `canonical` vouches for
-// its shape, a record not in NodeRecord::ToJson's shape is normalized first.
-// False, with `stored` untouched, when it is not a parseable record.
-bool WriteTrust(util::Json& stored, double trust_score, bool canonical) {
-  if (!canonical && !IsCanonicalNodeRecord(stored)) {
-    auto record = NodeRecord::FromJson(stored);
-    if (!record.ok()) return false;
-    stored = record->ToJson();
-  }
-  // A canonical record's last field is trust_score (ToJson's keys sort
-  // before it), so this skips the key search down the field map. The key is
-  // still compared in every build: a record vouched for in error is checked
-  // in full, and a NodeRecord field sorting after trust_score is not written.
-  const util::Json::Object& fields = std::as_const(stored).fields();
-  if (fields.empty() || fields.rbegin()->first != "trust_score") {
-    if (canonical) return WriteTrust(stored, trust_score, false);
-    stored.Set("trust_score", trust_score);
-    return true;
-  }
-  stored.mutable_fields().rbegin()->second = trust_score;
-  return true;
-}
-
-}  // namespace
-
-void ResourceRegistry::CanonicalRevisions::Assign(std::int64_t revision,
-                                                  bool canonical) {
-  const auto bit = static_cast<std::uint64_t>(revision % kWindow);
-  const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
-  if (canonical) {
-    bits_[bit / 64] |= mask;
-  } else {
-    bits_[bit / 64] &= ~mask;
-  }
-}
-
-void ResourceRegistry::CanonicalRevisions::Insert(std::int64_t revision) {
-  if (revision > newest_) {
-    // The revisions in between were written by someone else; clear their
-    // slots, which still describe revisions a window older.
-    for (std::int64_t r = std::max(newest_ + 1, revision - kWindow + 1);
-         r < revision; ++r) {
-      Assign(r, false);
-    }
-    newest_ = revision;
-  } else if (revision <= newest_ - kWindow) {
-    return;
-  }
-  Assign(revision, true);
-}
-
-bool ResourceRegistry::CanonicalRevisions::Contains(
-    std::int64_t revision) const {
-  if (revision <= 0 || revision > newest_ || revision <= newest_ - kWindow) {
-    return false;
-  }
-  const auto bit = static_cast<std::uint64_t>(revision % kWindow);
-  return (bits_[bit / 64] >> (bit % 64) & 1U) != 0;
-}
 
 util::Json NodeRecord::ToJson() const {
   util::Json j = util::Json::MakeObject();
@@ -101,7 +17,9 @@ util::Json NodeRecord::ToJson() const {
       .Set("security_level", security_level)
       .Set("has_accelerator", has_accelerator)
       .Set("energy_mj", energy_mj.value())
-      .Set("trust_score", trust_score);
+      .Set("trust_value", trust.value)
+      .Set("trust_healing", trust.healing)
+      .Set("trust_iteration", trust.iteration);
   return j;
 }
 
@@ -121,8 +39,21 @@ util::StatusOr<NodeRecord> NodeRecord::FromJson(const util::Json& j) {
   r.security_level = static_cast<int>(j.at("security_level").as_int());
   r.has_accelerator = j.at("has_accelerator").as_bool();
   r.energy_mj = util::MilliJoules(j.at("energy_mj").as_double());
-  r.trust_score = j.at("trust_score").as_double(1.0);
+  r.trust.value = j.at("trust_value").as_double(1.0);
+  r.trust.healing = j.at("trust_healing").as_bool(true);
+  r.trust.iteration =
+      static_cast<std::uint64_t>(j.at("trust_iteration").as_int());
   return r;
+}
+
+double TrustAt(const NodeRecord& record, std::uint64_t iteration) {
+  double trust = record.trust.value;
+  for (std::uint64_t i = record.trust.iteration; i < iteration; ++i) {
+    const double next = TrustStep(trust, record.trust.healing);
+    if (next == trust) break;  // the fixed point: no "healed" write needed
+    trust = next;
+  }
+  return trust;
 }
 
 std::string ResourceRegistry::NodeKey(const std::string& node_id) {
@@ -163,41 +94,22 @@ void ResourceRegistry::PutNode(const NodeRecord& record,
     stored = record.ToJson();
     return true;
   };
-  std::optional<std::int64_t> revision =
-      store_.Update(key, overwrite, skip_watch);
-  if (!revision) revision = store_.Put(key, record.ToJson(), 0, skip_watch);
-  canonical_.Insert(*revision);
-}
-
-bool ResourceRegistry::PutTrust(const std::string& node_id, double trust_score,
-                                std::int64_t skip_watch) {
-  const std::optional<std::int64_t> revision = store_.Update(
-      NodeKey(node_id),
-      [trust_score](util::Json& stored) {
-        return WriteTrust(stored, trust_score, false);
-      },
-      skip_watch);
-  if (!revision) return false;
-  canonical_.Insert(*revision);
-  return true;
-}
-
-void ResourceRegistry::PutTrusts(std::span<TrustWrite> writes,
-                                 std::int64_t skip_watch) {
-  Store::PrefixCursor cursor(store_, NodeKey(""));
-  for (TrustWrite& write : writes) {
-    const KeyValue* kv = cursor.Seek(write.node_id);
-    if (kv == nullptr) continue;
-    const bool canonical = canonical_.Contains(kv->mod_revision);
-    const std::optional<std::int64_t> revision = cursor.Update(
-        [trust_score = write.trust_score, canonical](util::Json& stored) {
-          return WriteTrust(stored, trust_score, canonical);
-        },
-        skip_watch);
-    if (!revision) continue;
-    canonical_.Insert(*revision);
-    write.written = true;
+  if (!store_.Update(key, overwrite, skip_watch)) {
+    store_.Put(key, record.ToJson(), 0, skip_watch);
   }
+}
+
+bool ResourceRegistry::PutTrust(const std::string& node_id,
+                                const TrustState& trust,
+                                std::int64_t skip_watch) {
+  const auto set_trust = [&trust](util::Json& stored) {
+    auto record = NodeRecord::FromJson(stored);
+    if (!record.ok()) return false;
+    record->trust = trust;
+    stored = record->ToJson();
+    return true;
+  };
+  return store_.Update(NodeKey(node_id), set_trust, skip_watch).has_value();
 }
 
 util::StatusOr<NodeRecord> ResourceRegistry::GetNode(

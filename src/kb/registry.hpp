@@ -3,17 +3,15 @@
 // their status" plus historical telemetry (§III Monitoring, §VI KB activity).
 // The registry is a typed veneer over the MVCC store under reserved key
 // prefixes:
-//   /registry/nodes/<node-id>        -> NodeRecord
+//   /registry/nodes/<node-id>        -> NodeRecord (trust as TrustState)
 //   /registry/workloads/<wl-id>      -> workload placement record
 //   /telemetry/<node-id>/<metric>    -> ring of recent samples
 //   /slo/<scope>/<objective>         -> burn-rate alert state (self-monitoring)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "kb/store.hpp"
@@ -22,6 +20,27 @@
 #include "util/units.hpp"
 
 namespace myrtus::kb {
+
+/// One trust update (§III "trust-related KPIs ... at runtime"): failures
+/// decay trust by 0.7, successes heal it towards 1.0. Both end at a fixed
+/// point; in double, healing from 0.7^k stalls at 0.999999999999999.
+[[nodiscard]] inline double TrustStep(double trust, bool success) {
+  return success ? std::min(1.0, trust * 0.95 + 0.05) : trust * 0.7;
+}
+
+/// A node's trust as state rather than as a per-iteration sample: the value
+/// right after its last transition (first failure after being up, or first
+/// success after failing), whether it has been healing or decaying since,
+/// and the MAPE iteration of that transition. One TrustStep per iteration
+/// follows it until the fixed point; TrustAt evaluates that. A node that
+/// never failed is healing at 1.0, already a fixed point.
+struct TrustState {
+  double value = 1.0;
+  bool healing = true;
+  std::uint64_t iteration = 0;
+
+  bool operator==(const TrustState&) const = default;
+};
 
 /// Availability/status snapshot of one continuum component.
 struct NodeRecord {
@@ -36,19 +55,17 @@ struct NodeRecord {
   int security_level = 0;         // 0=low 1=medium 2=high (Table II)
   bool has_accelerator = false;
   util::MilliJoules energy_mj{};  // cumulative energy consumed
-  double trust_score = 1.0;       // runtime trust indicator (§III)
+  TrustState trust{};             // runtime trust indicator (§III)
 
   [[nodiscard]] util::Json ToJson() const;
   static util::StatusOr<NodeRecord> FromJson(const util::Json& j);
 };
 
-/// One trust score for ResourceRegistry::PutTrusts. `written` reports
-/// whether it landed.
-struct TrustWrite {
-  std::string_view node_id;
-  double trust_score = 1.0;
-  bool written = false;
-};
+/// `record`'s trust after MAPE iteration `iteration` (not before its
+/// transition): TrustStep applied once per iteration since the transition,
+/// stopping at the step's fixed point. Bit-identical to the in-memory value
+/// of a manager that recorded one outcome per iteration.
+[[nodiscard]] double TrustAt(const NodeRecord& record, std::uint64_t iteration);
 
 /// Telemetry sample appended by monitors.
 struct TelemetrySample {
@@ -72,17 +89,11 @@ class ResourceRegistry {
   /// Node writes leave watch `skip_watch` (0 = none) out of their commits,
   /// for a writer that watches the node records itself.
   void PutNode(const NodeRecord& record, std::int64_t skip_watch = 0);
-  /// Sets one registered node's trust_score in place, keeping its lease. A
-  /// record not in NodeRecord::ToJson's shape is normalized first, so the
-  /// stored bytes equal a GetNode → PutNode round trip. False (nothing
+  /// Sets one registered node's trust state, keeping its lease; the stored
+  /// bytes equal a GetNode → set trust → PutNode round trip. False (nothing
   /// written) when the node has no parseable record.
-  bool PutTrust(const std::string& node_id, double trust_score,
+  bool PutTrust(const std::string& node_id, const TrustState& trust,
                 std::int64_t skip_watch = 0);
-  /// PutTrust for each of `writes`, whose node ids must ascend, in that
-  /// order and with the same effects, in one forward walk of the node
-  /// records. A record this registry last wrote itself is known to be in
-  /// canonical shape and skips the check.
-  void PutTrusts(std::span<TrustWrite> writes, std::int64_t skip_watch = 0);
   [[nodiscard]] util::StatusOr<NodeRecord> GetNode(const std::string& node_id) const;
   /// All registered nodes (optionally restricted to one layer).
   [[nodiscard]] std::vector<NodeRecord> ListNodes(const std::string& layer = "") const;
@@ -114,25 +125,7 @@ class ResourceRegistry {
       const std::string& scope, const std::string& name) const;
 
  private:
-  /// Revisions at which this registry wrote a node record in
-  /// NodeRecord::ToJson's shape. A record whose mod_revision is one of them
-  /// still holds that write. Only the latest kWindow revisions are kept
-  /// (8 KiB); an older one reads as unknown, which costs one shape check.
-  class CanonicalRevisions {
-   public:
-    void Insert(std::int64_t revision);
-    [[nodiscard]] bool Contains(std::int64_t revision) const;
-
-   private:
-    static constexpr std::int64_t kWindow = std::int64_t{1} << 16;
-    void Assign(std::int64_t revision, bool canonical);
-    std::vector<std::uint64_t> bits_ =
-        std::vector<std::uint64_t>(kWindow / 64, 0);
-    std::int64_t newest_ = 0;
-  };
-
   Store& store_;
-  CanonicalRevisions canonical_;
 };
 
 }  // namespace myrtus::kb

@@ -7,10 +7,7 @@ namespace myrtus::kb {
 std::int64_t Store::Put(const std::string& key, util::Json value,
                         std::int64_t lease_id, std::int64_t skip_watch) {
   KeyValue& kv = data_[key];
-  if (kv.create_revision == 0) {
-    kv.key = key;
-    ++layout_epoch_;
-  }
+  if (kv.create_revision == 0) kv.key = key;
   kv.value = std::move(value);
   kv.lease_id = lease_id;
   return Commit(kv, skip_watch);
@@ -32,47 +29,9 @@ std::optional<std::int64_t> Store::Delete(const std::string& key) {
   const std::int64_t revision = ++revision_;
   KeyValue last = std::move(it->second);
   data_.erase(it);
-  ++layout_epoch_;
   last.mod_revision = revision;
   Notify(WatchEvent::Type::kDelete, last);
   return revision;
-}
-
-Store::PrefixCursor::PrefixCursor(Store& store, std::string prefix)
-    : store_(store),
-      prefix_(std::move(prefix)),
-      it_(store_.data_.lower_bound(prefix_)),
-      layout_epoch_(store_.layout_epoch_) {}
-
-const KeyValue* Store::PrefixCursor::Seek(std::string_view suffix) {
-  // Keys under the prefix are contiguous and ordered by their suffix.
-  const auto end = store_.data_.end();
-  const auto in_range = [&] {
-    return it_ != end && it_->first.starts_with(prefix_);
-  };
-  const auto suffix_at = [&] {
-    return std::string_view(it_->first).substr(prefix_.size());
-  };
-  // Step over at most kMaxSteps keys, about what one search from the root
-  // costs (EXPERIMENTS.md E3). A target further ahead, or any target after a
-  // watcher inserted or erased keys (the entry under the cursor may be
-  // gone), is searched from the root instead.
-  constexpr int kMaxSteps = 4;
-  const bool same_layout = layout_epoch_ == store_.layout_epoch_;
-  const auto short_of_target = [&] {
-    return in_range() && suffix_at() < suffix;
-  };
-  for (int steps = 0; same_layout && steps < kMaxSteps && short_of_target();
-       ++steps) {
-    ++it_;
-  }
-  if (!same_layout || short_of_target()) {
-    key_.assign(prefix_).append(suffix);
-    it_ = store_.data_.lower_bound(key_);
-    layout_epoch_ = store_.layout_epoch_;
-  }
-  found_ = in_range() && suffix_at() == suffix;
-  return found_ ? &it_->second : nullptr;
 }
 
 util::StatusOr<KeyValue> Store::Get(const std::string& key) const {

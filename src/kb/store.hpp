@@ -10,7 +10,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -59,35 +58,6 @@ class Store {
     return Commit(it->second, skip_watch);
   }
 
-  /// Forward cursor over the keys under one prefix, for in-place edits of
-  /// many of them in one walk instead of one search from the root per key
-  /// (a target more than a few keys ahead is still searched from the root).
-  /// A watcher that inserts or erases keys while an edit commits makes the
-  /// next Seek() search afresh, so the cursor never steps an iterator that
-  /// the erase invalidated.
-  class PrefixCursor {
-   public:
-    PrefixCursor(Store& store, std::string prefix);
-    /// Moves to the key `prefix + suffix` and returns its entry, or nullptr
-    /// when it is absent. Suffixes must ascend from one Seek() to the next.
-    const KeyValue* Seek(std::string_view suffix);
-    /// Store::Update() on the key the last Seek() found; nullopt when that
-    /// Seek() found nothing or this key was already edited.
-    template <typename Fn>
-    std::optional<std::int64_t> Update(Fn&& fn, std::int64_t skip_watch = 0) {
-      if (!found_ || !fn(it_->second.value)) return std::nullopt;
-      found_ = false;  // the commit's watchers may erase the entry
-      return store_.Commit(it_->second, skip_watch);
-    }
-
-   private:
-    Store& store_;
-    std::string prefix_;
-    std::string key_;  // re-seek key buffer, reused across seeks
-    std::map<std::string, KeyValue>::iterator it_;
-    std::uint64_t layout_epoch_;
-    bool found_ = false;
-  };
   /// Deletes a key; returns the new revision, or nullopt if absent.
   std::optional<std::int64_t> Delete(const std::string& key);
   /// Point read.
@@ -132,8 +102,6 @@ class Store {
 
   std::map<std::string, KeyValue> data_;
   std::int64_t revision_ = 0;
-  // Bumped whenever a key is inserted into or erased from data_.
-  std::uint64_t layout_epoch_ = 0;
 
   struct Watcher {
     std::int64_t id;

@@ -300,7 +300,7 @@ void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
   record.mem_capacity_mb = node.mem_capacity_mb();
   record.mem_allocated_mb = node.mem_allocated_mb();
   record.security_level = static_cast<int>(node.security_level());
-  record.trust_score = psm_.TrustOf(trust_slots_[index]);
+  record.trust = psm_.StateOf(trust_slots_[index]);
   if (const sched::NodeState* state = cluster_.FindNodeState(node.id())) {
     record.cpu_allocated = state->cpu_allocated();
     record.has_accelerator = state->HasAccelerator();
@@ -396,15 +396,18 @@ void MirtoAgent::Analyze() {
   // (success outcome). Healing ends at a fixed point of the success update
   // (1.0, or the value just below it where the update stalls), so a node
   // leaves the set on its first no-op success, and skipping the rest of the
-  // fleet leaves every TrustOf() value identical to a full walk.
+  // fleet leaves every TrustOf() value identical to a full walk. So each
+  // moving node takes exactly one step per iteration, which is what lets
+  // the registry hold trust as its last transition (kb::TrustAt).
+  const std::uint64_t iteration = stats_.mape_iterations;
   for (const std::size_t index : down_nodes_) {
-    psm_.RecordOutcome(trust_slots_[index], false);
+    psm_.RecordOutcome(trust_slots_[index], false, iteration);
     if (cluster_.NodeHasPods(cluster_slots_[index])) {
       reallocation_needed_ = true;
     }
   }
   for (auto it = healing_nodes_.begin(); it != healing_nodes_.end();) {
-    if (psm_.RecordOutcome(trust_slots_[*it], true)) {
+    if (psm_.RecordOutcome(trust_slots_[*it], true, iteration)) {
       ++it;
     } else {
       it = healing_nodes_.erase(it);

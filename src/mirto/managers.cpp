@@ -197,21 +197,22 @@ TrustSlot PrivacySecurityManager::Slot(const std::string& node_id) {
   return it->second;
 }
 
-bool PrivacySecurityManager::RecordOutcome(TrustSlot slot, bool success) {
+bool PrivacySecurityManager::RecordOutcome(TrustSlot slot, bool success,
+                                           std::uint64_t iteration) {
   TrustEntry& entry = entries_[slot];
-  // Exponential update: failures bite harder than successes heal. Recovery
-  // need not reach 1.0: in double, min(1, 0.95t + 0.05) from 0.7^k stalls
-  // just below it (0.999999999999999) where 0.95t + 0.05 rounds back to t.
-  // Either way it ends at a fixed point, after which every success is a
-  // no-op and returns false.
-  const double updated =
-      success ? std::min(1.0, entry.trust * 0.95 + 0.05) : entry.trust * 0.7;
+  // Exponential update: failures bite harder than successes heal. Either
+  // way it ends at a fixed point, after which the outcome is a no-op and
+  // returns false; kb::TrustAt stops there too, so healing needs no write.
+  const double updated = kb::TrustStep(entry.trust, success);
+  if (success != entry.state.healing) {
+    entry.state = {updated, success, iteration};
+    if (!entry.pending) {
+      entry.pending = true;
+      pending_.push_back(slot);
+    }
+  }
   if (updated == entry.trust) return false;
   entry.trust = updated;
-  if (!entry.pending) {
-    entry.pending = true;
-    pending_.push_back(slot);
-  }
   return true;
 }
 
@@ -236,25 +237,13 @@ bool PrivacySecurityManager::Permits(const sched::PodSpec& pod,
 
 void PrivacySecurityManager::PublishTrust(kb::ResourceRegistry& registry,
                                           std::int64_t skip_watch) {
-  if (pending_.empty()) return;
-  std::sort(pending_.begin(), pending_.end(),
-            [this](TrustSlot a, TrustSlot b) {
-              return entries_[a].node_id < entries_[b].node_id;
-            });
-  std::vector<kb::TrustWrite> batch;
-  batch.reserve(pending_.size());
-  for (const TrustSlot slot : pending_) {
-    batch.push_back({entries_[slot].node_id, entries_[slot].trust});
-  }
-  registry.PutTrusts(batch, skip_watch);
-  // A node not written has no record yet (e.g. trust recorded before the
-  // first Monitor pass wrote it) and stays queued for the next publish.
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].written) {
-      entries_[pending_[i]].pending = false;
+  for (const TrustSlot slot : pending_) {
+    TrustEntry& entry = entries_[slot];
+    if (registry.PutTrust(entry.node_id, entry.state, skip_watch)) {
+      entry.pending = false;
     } else {
-      pending_[kept++] = pending_[i];
+      pending_[kept++] = slot;
     }
   }
   pending_.resize(kept);

@@ -132,28 +132,35 @@ class PrivacySecurityManager {
   /// The slot of `node_id`'s trust entry, created at trust 1.0 on first use.
   /// Slots stay valid for the manager's lifetime.
   [[nodiscard]] TrustSlot Slot(const std::string& node_id);
-  /// Records an outcome on a node; failures decay trust, successes recover
-  /// it. Returns whether the node's trust changed.
-  bool RecordOutcome(TrustSlot slot, bool success);
-  bool RecordOutcome(const std::string& node_id, bool success) {
-    return RecordOutcome(Slot(node_id), success);
+  /// Records MAPE iteration `iteration`'s outcome on a node (kb::TrustStep):
+  /// failures decay trust, successes recover it. The first failure after
+  /// successes, and the first success after failures, is a transition: it
+  /// becomes the node's TrustState and is queued for PublishTrust. Returns
+  /// whether the node's trust changed.
+  bool RecordOutcome(TrustSlot slot, bool success, std::uint64_t iteration);
+  bool RecordOutcome(const std::string& node_id, bool success,
+                     std::uint64_t iteration) {
+    return RecordOutcome(Slot(node_id), success, iteration);
   }
   [[nodiscard]] double TrustOf(TrustSlot slot) const {
     return entries_[slot].trust;
   }
   /// 1.0 for a node never seen.
   [[nodiscard]] double TrustOf(const std::string& node_id) const;
+  /// The node's last transition, as its registry record stores it.
+  [[nodiscard]] const kb::TrustState& StateOf(TrustSlot slot) const {
+    return entries_[slot].state;
+  }
   /// Nodes currently below the veto threshold, in node-id order.
   [[nodiscard]] std::vector<std::string> VetoedNodes() const;
   /// True when a pod may run on the node: security level satisfied and node
   /// trusted.
   [[nodiscard]] bool Permits(const sched::PodSpec& pod,
                              const continuum::ComputeNode& node) const;
-  /// Publishes trust scores into the registry — dirty-driven: only nodes
-  /// whose trust actually changed since the last publish are rewritten, in
-  /// node-id order, as one batch. Nodes without a registry record yet stay
-  /// queued for the next call. `skip_watch` is the caller's own registry
-  /// watch, left out of these writes' notifications (0 = none).
+  /// Writes each queued transition into its node's registry record, in the
+  /// order they happened. Nodes without a registry record yet stay queued
+  /// for the next call. `skip_watch` is the caller's own registry watch,
+  /// left out of these writes' notifications (0 = none).
   void PublishTrust(kb::ResourceRegistry& registry,
                     std::int64_t skip_watch = 0);
 
@@ -161,12 +168,13 @@ class PrivacySecurityManager {
   struct TrustEntry {
     std::string node_id;
     double trust = 1.0;
-    bool pending = false;  // changed since the last publish
+    kb::TrustState state{};
+    bool pending = false;  // transitioned since the last publish
   };
   double veto_threshold_;
   std::vector<TrustEntry> entries_;           // indexed by TrustSlot
   std::map<std::string, TrustSlot> slot_of_;  // node id -> slot, id order
-  // The slots with `pending` set, in no particular order between publishes.
+  // The slots with `pending` set, in transition order.
   std::vector<TrustSlot> pending_;
 };
 

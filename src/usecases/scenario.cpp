@@ -192,6 +192,12 @@ void RequestPipeline::RunStage(std::size_t stage_index, std::string at_host,
 
   const auto compute = [this, stage_index, target, started, energy_acc,
                         node]() {
+    // A shipped input can arrive after its target failed; Submit would drop
+    // the task, so the request fails here instead of never finishing.
+    if (!node->up()) {
+      Finish(started, energy_acc, false);
+      return;
+    }
     const Stage& st = scenario_.stages[stage_index];
     node->Submit(st.demand, [this, stage_index, target, started,
                              energy_acc](const continuum::TaskReport& report) {

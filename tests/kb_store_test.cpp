@@ -2,6 +2,8 @@
 // ResourceRegistry schema on top.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "kb/registry.hpp"
 #include "kb/store.hpp"
 #include "mirto/managers.hpp"
@@ -229,37 +231,6 @@ TEST(Store, SkipWatchIsScopedToOneCommit) {
   EXPECT_EQ(own.size(), 1u);
 }
 
-TEST(Store, PrefixCursorFindsKeysInOrderAndSurvivesReentrantErase) {
-  Store s;
-  for (const char* key : {"/m", "/n/a", "/n/b", "/n/c", "/n/d", "/o"}) {
-    s.Put(key, util::Json(0));
-  }
-  // Editing /n/b erases it and /n/c from inside the commit.
-  s.Watch("/n/b", [&](const WatchEvent& e) {
-    if (e.type != WatchEvent::Type::kPut) return;
-    s.Delete("/n/b");
-    s.Delete("/n/c");
-  });
-  Store::PrefixCursor cursor(s, "/n/");
-  const auto bump = [](util::Json& v) {
-    v = util::Json(v.as_int() + 1);
-    return true;
-  };
-  EXPECT_EQ(cursor.Seek(""), nullptr);
-  ASSERT_NE(cursor.Seek("a"), nullptr);
-  EXPECT_EQ(cursor.Update(bump), 7);
-  ASSERT_NE(cursor.Seek("b"), nullptr);
-  EXPECT_TRUE(cursor.Update(bump).has_value());
-  EXPECT_FALSE(cursor.Update(bump).has_value()) << "one edit per Seek";
-  EXPECT_EQ(cursor.Seek("c"), nullptr);
-  const KeyValue* d = cursor.Seek("d");
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->key, "/n/d");
-  EXPECT_EQ(cursor.Seek("e"), nullptr) << "/o is past the prefix";
-  EXPECT_EQ(s.Get("/n/a")->value.as_int(), 1);
-  EXPECT_EQ(s.Get("/o")->value.as_int(), 0);
-}
-
 TEST(Store, LeaseExpiryDeletesAttachedKeys) {
   Store s;
   const std::int64_t lease = s.GrantLease(1000);
@@ -293,7 +264,7 @@ TEST(Registry, NodeRecordRoundtrip) {
   r.security_level = 2;
   r.has_accelerator = true;
   r.energy_mj = util::MilliJoules(850.5);
-  r.trust_score = 0.93;
+  r.trust = {.value = 0.93, .healing = false, .iteration = 17};
   auto back = NodeRecord::FromJson(r.ToJson());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->node_id, "edge-3");
@@ -302,7 +273,43 @@ TEST(Registry, NodeRecordRoundtrip) {
   EXPECT_DOUBLE_EQ(back->energy_mj.value(), 850.5);
   EXPECT_EQ(back->security_level, 2);
   EXPECT_TRUE(back->has_accelerator);
-  EXPECT_DOUBLE_EQ(back->trust_score, 0.93);
+  EXPECT_EQ(back->trust, r.trust);
+}
+
+// TrustAt takes one TrustStep per iteration after the transition and stops
+// at the step's fixed point, so a record written once per transition reads
+// the value a per-iteration writer would have stored.
+TEST(Registry, TrustAtStepsOncePerIterationUntilTheFixedPoint) {
+  NodeRecord r;
+  EXPECT_EQ(TrustAt(r, 0), 1.0);
+  EXPECT_EQ(TrustAt(r, 1000), 1.0) << "never failed: healthy forever";
+
+  r.trust = {.value = 0.7, .healing = false, .iteration = 10};
+  EXPECT_EQ(TrustAt(r, 9), 0.7) << "before the transition";
+  EXPECT_EQ(TrustAt(r, 10), 0.7);
+  EXPECT_EQ(TrustAt(r, 12), 0.7 * 0.7 * 0.7);
+  double decayed = 0.7;
+  std::uint64_t steps = 0;
+  while (TrustStep(decayed, false) != decayed) {
+    decayed = TrustStep(decayed, false);
+    ++steps;
+  }
+  EXPECT_GT(steps, 2000u) << "decay runs into the denormals";
+  EXPECT_EQ(TrustAt(r, 10 + steps), decayed);
+
+  r.trust = {.value = TrustStep(0.7 * 0.7 * 0.7, true), .healing = true,
+             .iteration = 3};
+  double healed = r.trust.value;
+  steps = 0;
+  while (TrustStep(healed, true) != healed) {
+    healed = TrustStep(healed, true);
+    ++steps;
+  }
+  EXPECT_LT(healed, 1.0) << "healing stalls just below 1.0 in double";
+  EXPECT_EQ(TrustAt(r, 3 + steps), healed);
+  EXPECT_NE(TrustAt(r, 3 + steps - 1), healed) << "one step short";
+  // Stopping at the fixed point also makes any later iteration cheap.
+  EXPECT_EQ(TrustAt(r, std::numeric_limits<std::uint64_t>::max()), healed);
 }
 
 TEST(Registry, NodeRecordRejectsGarbage) {
@@ -380,23 +387,24 @@ TEST(Registry, NodeWritesKeepTheKeysLease) {
   store.Put(ResourceRegistry::NodeKey("e0"), r.ToJson(), lease);
   r.cpu_allocated = 2.0;
   reg.PutNode(r);
-  EXPECT_TRUE(reg.PutTrust("e0", 0.5));
+  EXPECT_TRUE(reg.PutTrust("e0", {.value = 0.5, .healing = false}));
   EXPECT_EQ(store.Get(ResourceRegistry::NodeKey("e0"))->lease_id, lease);
 }
 
 TEST(Registry, PutTrustOnUnknownOrGarbageRecordWritesNothing) {
   Store store;
   ResourceRegistry reg(store);
-  EXPECT_FALSE(reg.PutTrust("ghost", 0.5));
+  const TrustState failed{.value = 0.5, .healing = false};
+  EXPECT_FALSE(reg.PutTrust("ghost", failed));
   store.Put(ResourceRegistry::NodeKey("junk"), util::Json(3));
-  EXPECT_FALSE(reg.PutTrust("junk", 0.5));
+  EXPECT_FALSE(reg.PutTrust("junk", failed));
   EXPECT_EQ(store.revision(), 1);
   EXPECT_FALSE(store.Get(ResourceRegistry::NodeKey("ghost")).ok());
 }
 
 // The bytes PublishTrust leaves behind equal the GetNode → set trust →
-// PutNode round trip it replaced, for a canonical record and for one that
-// needs normalizing (an extra field, an int where ToJson writes a double).
+// PutNode round trip, for a record in ToJson's shape and for one that needs
+// normalizing (an extra field, an int where ToJson writes a double).
 TEST(Registry, PublishTrustBytesEqualTheRecordRoundTrip) {
   NodeRecord canonical;
   canonical.node_id = "e0";
@@ -409,7 +417,7 @@ TEST(Registry, PublishTrustBytesEqualTheRecordRoundTrip) {
   canonical.security_level = 2;
   canonical.has_accelerator = true;
   canonical.energy_mj = util::MilliJoules(850.5);
-  canonical.trust_score = 0.93;
+  canonical.trust = {.value = 0.93, .healing = true, .iteration = 4};
   util::Json noncanonical = util::Json::MakeObject()
                                 .Set("node_id", "e1")
                                 .Set("layer", "fog")
@@ -424,28 +432,13 @@ TEST(Registry, PublishTrustBytesEqualTheRecordRoundTrip) {
     auto expected = NodeRecord::FromJson(stored);
     ASSERT_TRUE(expected.ok());
     mirto::PrivacySecurityManager psm;
-    psm.RecordOutcome(id, false);
-    expected->trust_score = psm.TrustOf(id);
+    psm.RecordOutcome(id, false, 9);
+    expected->trust = {.value = 0.7, .healing = false, .iteration = 9};
     psm.PublishTrust(reg);
     auto kv = store.Get(ResourceRegistry::NodeKey(id));
     ASSERT_TRUE(kv.ok());
     EXPECT_EQ(kv->value.Dump(), expected->ToJson().Dump()) << id;
     EXPECT_EQ(kv->version, 2) << id;
-  }
-  // A record this registry wrote skips the shape check; its trust_score is
-  // still the field written, publish after publish.
-  Store store;
-  ResourceRegistry reg(store);
-  reg.PutNode(canonical);
-  mirto::PrivacySecurityManager psm;
-  for (int publish = 0; publish < 3; ++publish) {
-    psm.RecordOutcome("e0", false);
-    psm.PublishTrust(reg);
-    NodeRecord expected = canonical;
-    expected.trust_score = psm.TrustOf("e0");
-    auto kv = store.Get(ResourceRegistry::NodeKey("e0"));
-    ASSERT_TRUE(kv.ok());
-    EXPECT_EQ(kv->value.Dump(), expected.ToJson().Dump()) << publish;
   }
 }
 

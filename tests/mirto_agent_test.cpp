@@ -2,6 +2,8 @@
 // peering, and multi-agent contract-net negotiation.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <set>
 
 #include "dpe/pipeline.hpp"
@@ -195,8 +197,120 @@ TEST(MirtoAgent, HealingSetDrainsOnceTrustStopsMoving) {
   EXPECT_LT(trust, 1.0) << "recovery stalls below 1.0 in double";
   EXPECT_GT(trust, 0.999);
   EXPECT_EQ(f.agent->healing_node_count(), 0u);
-  EXPECT_FALSE(f.agent->security_manager().RecordOutcome("edge-0", true))
+  EXPECT_FALSE(f.agent->security_manager().RecordOutcome(
+      "edge-0", true, f.agent->stats().mape_iterations + 1))
       << "a drained node's next success is a no-op";
+}
+
+// Property: the registry holds trust as its last transition. Under seeded
+// fail/recover schedules, after every MAPE iteration each node's stored
+// record reads, through kb::TrustAt, exactly the agent's in-memory trust, and
+// a watcher other than the agent's own sees the trust fields change once per
+// transition: a node's first failure after being up, and its first success
+// after failing. Every other record write is a Monitor observation, so trust
+// is written at transitions and nowhere else. A few nodes flap; one seed in 20 also keeps a node down
+// until its decay reaches the fixed point (over 2,100 iterations) and then
+// lets it heal until the success update stalls.
+void CheckTrustStateSchedule(std::uint64_t seed) {
+  AgentFixture f;
+  util::Rng rng(seed, "trust-state-property");
+  const std::size_t fleet = f.infra.nodes.size();
+  // The watch sees every commit to the node records, so `stored` mirrors
+  // them; the mirror is checked against the store every 100 iterations.
+  std::map<std::string, kb::NodeRecord> stored;
+  std::uint64_t puts = 0;
+  std::uint64_t trust_writes = 0;
+  const std::string prefix = kb::ResourceRegistry::NodeKey("");
+  // LINT: deferred-capture-ok(default) -- the watch fires only inside the
+  // iterations below; the fixture and the counters outlive them in this frame
+  f.store.Watch(prefix, [&](const kb::WatchEvent& e) {
+    if (e.type != kb::WatchEvent::Type::kPut) return;
+    ++puts;
+    auto record = kb::NodeRecord::FromJson(e.kv.value);
+    ASSERT_TRUE(record.ok());
+    kb::NodeRecord& last = stored[e.kv.key];
+    if (record->trust != last.trust) ++trust_writes;
+    last = *std::move(record);
+  });
+  std::vector<std::string> keys;
+  for (const auto& node : f.infra.nodes) {
+    keys.push_back(kb::ResourceRegistry::NodeKey(node->id()));
+  }
+
+  std::vector<double> flap(fleet, 0.0);  // per-iteration toggle probability
+  const std::uint64_t flappers = 2 + rng.NextBounded(3);
+  for (std::uint64_t k = 0; k < flappers; ++k) {
+    flap[rng.NextBounded(fleet)] = 0.05 + 0.45 * rng.NextDouble();
+  }
+  const bool long_outage = seed % 20 == 0;
+  const std::size_t long_node = rng.NextBounded(fleet);
+  const std::uint64_t outage_end = 5 + 2100 + rng.NextBounded(200);
+  if (long_outage) flap[long_node] = 0.0;
+  const std::uint64_t iterations = long_outage ? outage_end + 750 : 120;
+
+  std::vector<bool> failing(fleet, false);  // failed since its last recovery
+  std::uint64_t transitions = 0;
+  bool decayed_to_fixed_point = false;
+  for (std::uint64_t it = 1; it <= iterations; ++it) {
+    for (std::size_t i = 0; i < fleet; ++i) {
+      continuum::ComputeNode& node = *f.infra.nodes[i];
+      bool up = node.up();
+      if (long_outage && i == long_node) {
+        up = it < 5 || it >= outage_end;
+      } else if (rng.NextBool(flap[i])) {
+        up = !up;
+      }
+      if (up != node.up()) node.SetUp(up);
+      if (up == failing[i]) {
+        ++transitions;
+        failing[i] = !up;
+      }
+    }
+    f.agent->RunMapeIteration();
+    ASSERT_EQ(f.agent->stats().mape_iterations, it);
+
+    PrivacySecurityManager& psm = f.agent->security_manager();
+    for (std::size_t i = 0; i < fleet; ++i) {
+      const std::string& id = f.infra.nodes[i]->id();
+      const auto record = stored.find(keys[i]);
+      ASSERT_NE(record, stored.end()) << id;
+      ASSERT_EQ(kb::TrustAt(record->second, it), psm.TrustOf(id))
+          << "seed " << seed << ", iteration " << it << ", " << id;
+      if (it % 100 == 0 || it == iterations) {
+        auto kv = f.store.Get(keys[i]);
+        ASSERT_TRUE(kv.ok());
+        ASSERT_EQ(kv->value.Dump(), record->second.ToJson().Dump()) << id;
+      }
+    }
+    ASSERT_EQ(trust_writes, transitions)
+        << "seed " << seed << ", iteration " << it;
+    // Every other node-record write is one Monitor observation.
+    ASSERT_EQ(puts, f.agent->stats().nodes_observed + transitions)
+        << "seed " << seed << ", iteration " << it;
+    if (long_outage && it + 1 == outage_end) {
+      const double trust = psm.TrustOf(f.infra.nodes[long_node]->id());
+      decayed_to_fixed_point = kb::TrustStep(trust, false) == trust;
+    }
+  }
+  if (!long_outage) return;
+  // Not vacuous: the long outage decayed to its fixed point, and the node
+  // then healed until the update stalled.
+  EXPECT_TRUE(decayed_to_fixed_point) << "seed " << seed;
+  const std::string& id = f.infra.nodes[long_node]->id();
+  const double healed = f.agent->security_manager().TrustOf(id);
+  EXPECT_EQ(kb::TrustStep(healed, true), healed) << "seed " << seed;
+  EXPECT_LT(healed, 1.0);
+  // Past the fixed point the record reads the same value forever, and
+  // reading it there costs no more than reaching it.
+  EXPECT_EQ(kb::TrustAt(stored.at(keys[long_node]),
+                        std::numeric_limits<std::uint64_t>::max()),
+            healed);
+}
+
+TEST(MirtoAgent, StoredTrustStateMatchesInMemoryTrustUnderRandomChurn) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    ASSERT_NO_FATAL_FAILURE(CheckTrustStateSchedule(seed));
+  }
 }
 
 TEST(MirtoAgent, MonitorRecordsCumulativeEnergyInMillijoules) {

@@ -1,13 +1,9 @@
 // The four MIRTO Manager drivers in isolation.
 #include <gtest/gtest.h>
 
-#include <iterator>
-#include <set>
-
 #include "continuum/infrastructure.hpp"
 #include "mirto/agent.hpp"
 #include "mirto/managers.hpp"
-#include "util/rng.hpp"
 
 namespace myrtus::mirto {
 namespace {
@@ -184,10 +180,11 @@ TEST(NetworkManager, UnreachableNodesGetInfiniteCost) {
 TEST(SecurityManager, TrustDecaysOnFailuresAndRecovers) {
   PrivacySecurityManager psm(0.4);
   EXPECT_DOUBLE_EQ(psm.TrustOf("edge-0"), 1.0);
-  for (int i = 0; i < 3; ++i) psm.RecordOutcome("edge-0", false);
+  std::uint64_t iteration = 0;
+  for (int i = 0; i < 3; ++i) psm.RecordOutcome("edge-0", false, ++iteration);
   EXPECT_LT(psm.TrustOf("edge-0"), 0.4);
   EXPECT_EQ(psm.VetoedNodes(), std::vector<std::string>{"edge-0"});
-  for (int i = 0; i < 60; ++i) psm.RecordOutcome("edge-0", true);
+  for (int i = 0; i < 60; ++i) psm.RecordOutcome("edge-0", true, ++iteration);
   EXPECT_GT(psm.TrustOf("edge-0"), 0.9);
   EXPECT_TRUE(psm.VetoedNodes().empty());
 }
@@ -203,17 +200,18 @@ TEST(SecurityManager, SlotAndIdAddressTheSameTrust) {
   EXPECT_EQ(psm.TrustOf("never-seen"), 1.0);
 
   // Recorded through the slot, read through the id, and the other way round.
-  EXPECT_TRUE(psm.RecordOutcome(c, false));
+  // One outcome per node per iteration, iterations 1 to 3.
+  EXPECT_TRUE(psm.RecordOutcome(c, false, 1));
   EXPECT_EQ(psm.TrustOf("node-c"), 0.7);
   EXPECT_EQ(psm.TrustOf("node-c"), psm.TrustOf(c));
-  EXPECT_TRUE(psm.RecordOutcome("node-a", false));
+  EXPECT_TRUE(psm.RecordOutcome("node-a", false, 1));
   EXPECT_EQ(psm.TrustOf(a), 0.7);
   // Both addresses drive one entry: alternating them compounds.
-  EXPECT_TRUE(psm.RecordOutcome(a, false));
-  EXPECT_TRUE(psm.RecordOutcome("node-a", false));
+  EXPECT_TRUE(psm.RecordOutcome(a, false, 2));
+  EXPECT_TRUE(psm.RecordOutcome("node-a", false, 3));
   EXPECT_EQ(psm.TrustOf(a), 0.7 * 0.7 * 0.7);
   EXPECT_EQ(psm.TrustOf("node-a"), psm.TrustOf(a));
-  for (int i = 0; i < 2; ++i) psm.RecordOutcome(c, false);
+  for (std::uint64_t i = 2; i <= 3; ++i) psm.RecordOutcome(c, false, i);
 
   // Vetoes come back in id order although "node-c" took its slot first.
   EXPECT_EQ(psm.VetoedNodes(),
@@ -231,15 +229,23 @@ TEST(SecurityManager, SlotAndIdAddressTheSameTrust) {
   EXPECT_NE(b, a);
   EXPECT_NE(b, c);
   EXPECT_EQ(psm.TrustOf(b), 1.0);
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(psm.RecordOutcome(b, false));
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(psm.RecordOutcome(b, false, i));
+  }
   EXPECT_EQ(psm.TrustOf("node-b"), psm.TrustOf(b));
   EXPECT_EQ(psm.VetoedNodes(),
             (std::vector<std::string>{"node-a", "node-b", "node-c"}));
   psm.PublishTrust(registry);
+  // Each record holds its node's transition, at iteration 1, from which the
+  // record reads the same trust as the manager after iteration 3.
   for (const char* id : {"node-a", "node-b", "node-c"}) {
     const auto record = registry.GetNode(id);
     ASSERT_TRUE(record.ok()) << id;
-    EXPECT_EQ(record->trust_score, psm.TrustOf(id)) << id;
+    EXPECT_EQ(record->trust, psm.StateOf(psm.Slot(id))) << id;
+    EXPECT_EQ(record->trust,
+              (kb::TrustState{.value = 0.7, .healing = false, .iteration = 1}))
+        << id;
+    EXPECT_EQ(kb::TrustAt(*record, 3), psm.TrustOf(id)) << id;
   }
 }
 
@@ -254,20 +260,58 @@ TEST(SecurityManager, PermitsChecksLevelAndTrust) {
   secure.min_security = security::SecurityLevel::kHigh;
   EXPECT_FALSE(psm.Permits(secure, low_node));
   EXPECT_TRUE(psm.Permits(secure, high_node));
-  for (int i = 0; i < 5; ++i) psm.RecordOutcome("fmdc-x", false);
+  for (std::uint64_t i = 1; i <= 5; ++i) psm.RecordOutcome("fmdc-x", false, i);
   EXPECT_FALSE(psm.Permits(secure, high_node)) << "distrusted node vetoed";
 }
 
+// Only transitions are written: the first failure after successes and the
+// first success after failures. Outcomes in between move the manager's
+// trust, which the record reads through kb::TrustAt.
 TEST(SecurityManager, PublishesTrustToRegistry) {
   kb::Store store;
   kb::ResourceRegistry registry(store);
   registry.PutNode({.node_id = "edge-0", .layer = "edge"});
   PrivacySecurityManager psm;
-  psm.RecordOutcome("edge-0", false);
+  const auto record = [&registry] {
+    auto r = registry.GetNode("edge-0");
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? *r : kb::NodeRecord{};
+  };
+  psm.RecordOutcome("edge-0", false, 5);
   psm.PublishTrust(registry);
-  auto record = registry.GetNode("edge-0");
-  ASSERT_TRUE(record.ok());
-  EXPECT_NEAR(record->trust_score, 0.7, 1e-9);
+  EXPECT_EQ(record().trust,
+            (kb::TrustState{.value = 0.7, .healing = false, .iteration = 5}));
+  const std::int64_t failed_at = store.revision();
+  for (std::uint64_t i = 6; i <= 8; ++i) {
+    psm.RecordOutcome("edge-0", false, i);
+    psm.PublishTrust(registry);
+  }
+  EXPECT_EQ(store.revision(), failed_at) << "decay steps write nothing";
+  EXPECT_EQ(kb::TrustAt(record(), 8), psm.TrustOf("edge-0"));
+
+  psm.RecordOutcome("edge-0", true, 9);
+  psm.PublishTrust(registry);
+  EXPECT_EQ(store.revision(), failed_at + 1);
+  EXPECT_TRUE(record().trust.healing);
+  EXPECT_EQ(record().trust.iteration, 9u);
+  std::uint64_t iteration = 9;
+  while (psm.RecordOutcome("edge-0", true, ++iteration)) {
+    psm.PublishTrust(registry);
+  }
+  EXPECT_EQ(store.revision(), failed_at + 1) << "healing writes nothing";
+  EXPECT_EQ(kb::TrustAt(record(), iteration), psm.TrustOf("edge-0"));
+  EXPECT_LT(psm.TrustOf("edge-0"), 1.0);
+
+  // A transition on a node without a record waits for the record.
+  psm.RecordOutcome("late", false, 1);
+  psm.PublishTrust(registry);
+  EXPECT_EQ(store.revision(), failed_at + 1);
+  registry.PutNode({.node_id = "late", .layer = "cloud"});
+  psm.PublishTrust(registry);
+  auto late = registry.GetNode("late");
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(late->trust, psm.StateOf(psm.Slot("late")));
+  EXPECT_FALSE(late->trust.healing);
 }
 
 // After an operating-point change every capacity read agrees: the node's
@@ -324,203 +368,6 @@ TEST(NodeManager, OperatingPointChangeRefreshesEveryCapacityRead) {
 
   EXPECT_FALSE(node.SetOperatingPoint(node.devices().size(), 0).ok());
   EXPECT_FALSE(node.SetOperatingPoint(0, eco + 1).ok());
-}
-
-// The batched PublishTrust against the per-key PutTrust loop it replaced:
-// the same pending set, published in node-id order by both, must leave the
-// same store behind (every key's bytes, revisions, version and lease, the
-// store revision) and deliver the same watch events, through external
-// non-canonical writes, a watcher that deletes and inserts registry keys
-// mid-walk, and a node whose record appears late.
-class PublishTrustWorld {
- public:
-  explicit PublishTrustWorld(std::vector<std::string>* armed)
-      : armed_(armed) {
-    own_watch_ = store_.Watch(kb::ResourceRegistry::NodeKey(""),
-                              [this](const kb::WatchEvent& e) {
-                                own_events_.push_back(Render(e));
-                              });
-    store_.Watch("/", [this](const kb::WatchEvent& e) {
-      events_.push_back(Render(e));
-    });
-    store_.Watch(kb::ResourceRegistry::NodeKey(""),
-                 [this](const kb::WatchEvent& e) { Meddle(e); });
-  }
-
-  kb::Store& store() { return store_; }
-  kb::ResourceRegistry& registry() { return registry_; }
-  std::int64_t own_watch() const { return own_watch_; }
-
-  /// Everything observable: keys with MVCC metadata, the revision, and the
-  /// events delivered since the last snapshot.
-  std::string Snapshot() {
-    std::string out = "rev " + std::to_string(store_.revision()) + "\n";
-    for (const kb::KeyValue& kv : store_.Range("/")) out += Render(kv) + "\n";
-    for (const std::string& e : events_) out += "event " + e + "\n";
-    for (const std::string& e : own_events_) out += "own " + e + "\n";
-    events_.clear();
-    own_events_.clear();
-    return out;
-  }
-
-  void set_publishing(bool on) { publishing_ = on; }
-  std::size_t meddles() const { return done_.size(); }
-
- private:
-  static std::string Render(const kb::KeyValue& kv) {
-    return kv.key + " " + kv.value.Dump() + " c" +
-           std::to_string(kv.create_revision) + " m" +
-           std::to_string(kv.mod_revision) + " v" + std::to_string(kv.version) +
-           " l" + std::to_string(kv.lease_id);
-  }
-  static std::string Render(const kb::WatchEvent& e) {
-    return (e.type == kb::WatchEvent::Type::kPut ? "put " : "del ") +
-           Render(e.kv);
-  }
-
-  // While a publish runs, a trust write to an armed key deletes that very
-  // key (the walk's current entry), the next armed-ahead key, and inserts a
-  // fresh record, all re-entrantly.
-  void Meddle(const kb::WatchEvent& e) {
-    if (!publishing_ || e.type != kb::WatchEvent::Type::kPut) return;
-    for (std::size_t i = 0; i + 2 < armed_->size(); i += 3) {
-      if (e.kv.key != (*armed_)[i] || done_.count(i) > 0) continue;
-      done_.insert(i);
-      store_.Delete((*armed_)[i]);
-      store_.Delete((*armed_)[i + 1]);
-      const std::string id =
-          (*armed_)[i + 2].substr(kb::ResourceRegistry::NodeKey("").size());
-      store_.Put((*armed_)[i + 2],
-                 kb::NodeRecord{.node_id = id, .layer = "fog"}.ToJson());
-      return;
-    }
-  }
-
-  kb::Store store_;
-  kb::ResourceRegistry registry_{store_};
-  std::int64_t own_watch_ = 0;
-  std::vector<std::string> events_;
-  std::vector<std::string> own_events_;
-  std::vector<std::string>* armed_;
-  std::set<std::size_t> done_;
-  bool publishing_ = false;
-};
-
-TEST(SecurityManager, BatchedPublishMatchesPerKeyPutTrustLoop) {
-  constexpr std::size_t kNodes = 300;
-  std::vector<std::string> ids;
-  for (std::size_t n = 0; n < kNodes; ++n) {
-    ids.push_back("node-" + std::to_string(n));  // id order != index order
-  }
-  std::vector<std::string> armed;
-  PublishTrustWorld batched(&armed);
-  PublishTrustWorld reference(&armed);
-  PrivacySecurityManager psm;
-  PrivacySecurityManager reference_trust;  // values only
-  std::set<std::string> reference_pending;
-
-  const auto both = [&](auto&& fn) {
-    fn(batched);
-    fn(reference);
-  };
-  // Every node but the last two is registered up front, some under a lease.
-  both([&](PublishTrustWorld& w) {
-    const std::int64_t lease = w.store().GrantLease(1'000'000);
-    for (std::size_t n = 0; n + 2 < kNodes; ++n) {
-      const kb::NodeRecord record{.node_id = ids[n], .layer = "edge"};
-      if (n % 7 == 0) {
-        w.store().Put(kb::ResourceRegistry::NodeKey(ids[n]), record.ToJson(),
-                      lease);
-      } else {
-        w.registry().PutNode(record, w.own_watch());
-      }
-    }
-  });
-
-  util::Rng rng(20261018, "publish-trust-differential");
-  for (int step = 0; step < 120; ++step) {
-    // A burst of outcomes: failures start healing runs, successes heal.
-    const std::size_t outcomes = 1 + rng.NextBounded(40);
-    for (std::size_t k = 0; k < outcomes; ++k) {
-      const std::string& id = ids[rng.NextBounded(kNodes)];
-      const bool success = rng.NextBool(0.7);
-      psm.RecordOutcome(id, success);
-      if (reference_trust.RecordOutcome(id, success)) {
-        reference_pending.insert(id);
-      }
-    }
-    const double roll = rng.NextDouble();
-    if (roll < 0.2) {
-      // An external writer stores a non-canonical record: missing fields
-      // and ints where ToJson writes doubles.
-      const std::string& id = ids[rng.NextBounded(kNodes - 2)];
-      const util::Json noncanonical = util::Json::MakeObject()
-                                          .Set("node_id", id)
-                                          .Set("layer", "edge")
-                                          .Set("cpu_capacity", 8)
-                                          .Set("trust_score", 1);
-      both([&](PublishTrustWorld& w) {
-        w.store().Put(kb::ResourceRegistry::NodeKey(id), noncanonical);
-      });
-    } else if (roll < 0.3 && !reference_pending.empty()) {
-      // Arm the meddler on a pending node and two others: this publish's
-      // trust write to the first deletes it and the second and (re)creates
-      // the third.
-      auto trigger = reference_pending.begin();
-      std::advance(trigger, rng.NextBounded(reference_pending.size()));
-      if (*trigger != ids[kNodes - 1]) {  // keep the late node's record
-        armed.push_back(kb::ResourceRegistry::NodeKey(*trigger));
-        for (int k = 0; k < 2; ++k) {
-          armed.push_back(kb::ResourceRegistry::NodeKey(
-              ids[rng.NextBounded(kNodes - 2)]));
-        }
-      }
-    } else if (roll < 0.4) {
-      // A Monitor-style canonical rewrite by the publisher's registry.
-      const std::string& id = ids[rng.NextBounded(kNodes - 2)];
-      both([&](PublishTrustWorld& w) {
-        w.registry().PutNode(
-            {.node_id = id, .layer = "edge", .trust_score = psm.TrustOf(id)},
-            w.own_watch());
-      });
-    }
-    if (step == 60) {
-      // The late node's record appears; its queued trust lands next publish.
-      both([&](PublishTrustWorld& w) {
-        w.registry().PutNode({.node_id = ids[kNodes - 1], .layer = "cloud"},
-                             w.own_watch());
-      });
-    }
-    if (step < 60 && step % 10 == 0) {
-      psm.RecordOutcome(ids[kNodes - 1], false);
-      if (reference_trust.RecordOutcome(ids[kNodes - 1], false)) {
-        reference_pending.insert(ids[kNodes - 1]);
-      }
-    }
-
-    batched.set_publishing(true);
-    psm.PublishTrust(batched.registry(), batched.own_watch());
-    batched.set_publishing(false);
-    reference.set_publishing(true);
-    for (auto it = reference_pending.begin(); it != reference_pending.end();) {
-      if (reference.registry().PutTrust(*it, reference_trust.TrustOf(*it),
-                                        reference.own_watch())) {
-        it = reference_pending.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    reference.set_publishing(false);
-    ASSERT_EQ(batched.Snapshot(), reference.Snapshot()) << "step " << step;
-  }
-
-  // Not vacuous: the late node queued until its record existed, then landed.
-  auto late = batched.registry().GetNode(ids[kNodes - 1]);
-  ASSERT_TRUE(late.ok());
-  EXPECT_EQ(late->trust_score, psm.TrustOf(ids[kNodes - 1]));
-  EXPECT_LT(late->trust_score, 1.0);
-  EXPECT_GE(batched.meddles(), 3u);
-  EXPECT_GT(batched.store().revision(), 2000);
 }
 
 }  // namespace

@@ -87,6 +87,7 @@ MapeOracle::~MapeOracle() { kb_.CancelWatch(workload_watch_); }
 
 void MapeOracle::Expect() {
   const std::int64_t now_ns = engine_.Now().ns;
+  const std::uint64_t iteration = agent_.stats().mape_iterations + 1;
   expected_.clear();
   // Monitor + Analyze trust + Plan, one pass over the whole fleet.
   for (const auto& node : infra_.nodes) {
@@ -94,7 +95,7 @@ void MapeOracle::Expect() {
     const std::string& id = node->id();
     const bool up = node->up();
     slo_.RecordAvailability("fleet.availability", up, now_ns);
-    psm_.RecordOutcome(id, up);
+    psm_.RecordOutcome(id, up, iteration);
     kb::NodeRecord record;
     record.node_id = id;
     record.layer = std::string(continuum::LayerName(node->layer()));
@@ -109,11 +110,13 @@ void MapeOracle::Expect() {
       record.has_accelerator = state->HasAccelerator();
     }
     record.energy_mj = node->total_energy();
-    // Monitor writes the record before Analyze; Execute republishes the
-    // trust Analyze moved, so the record ends the iteration with new trust.
-    record.trust_score = psm_.TrustOf(id);
+    // Monitor writes the record before Analyze; Execute writes a transition
+    // Analyze made, so the record ends the iteration with the new state.
+    record.trust = psm_.StateOf(psm_.Slot(id));
     expected_[{id, "record"}] = record.ToJson().Dump();
-    expected_[{id, "trust"}] = util::Json(record.trust_score).Dump();
+    const std::string trust = util::Json(psm_.TrustOf(id)).Dump();
+    expected_[{id, "trust"}] = trust;
+    expected_[{id, "trust/memory"}] = trust;
     if (!up) continue;
     for (const mirto::NodeManager::Decision& d :
          node_manager_.PlanNode(*node)) {
@@ -188,6 +191,11 @@ MapeOracle::Outcome MapeOracle::AgentOutcome() const {
     actual[{id, "record"}] =
         record.ok() ? record->ToJson().Dump() : "absent";
     actual[{id, "trust"}] =
+        record.ok()
+            ? util::Json(kb::TrustAt(*record, agent_.stats().mape_iterations))
+                  .Dump()
+            : "absent";
+    actual[{id, "trust/memory"}] =
         util::Json(agent_.security_manager().TrustOf(id)).Dump();
   }
   for (const mirto::NodeManager::Decision& d : agent_.planned_decisions()) {

@@ -5,9 +5,10 @@
 // RunMapeIteration() must leave behind when it walks everything instead:
 //
 //   - every node's registry NodeRecord (ComputeNode, Cluster::FindNodeState,
-//     and the trust score after this iteration's Analyze);
+//     and the trust state after this iteration's Analyze);
 //   - every node's trust, from its own PrivacySecurityManager recording one
-//     outcome per node per iteration;
+//     outcome per node per iteration: kb::TrustAt of the stored record
+//     ("trust") and the agent's in-memory value ("trust/memory");
 //   - the two default SLOs, from its own SloEngine fed one availability
 //     observation per node and one latency observation per tracked pod, and
 //     the verdicts the agent publishes under /slo/;
@@ -44,7 +45,7 @@ namespace myrtus::oracle {
 /// One outcome where the agent differs from the full-walk expectation.
 struct Divergence {
   std::string node_id;  // empty for fleet-level outcomes (SLO state, verdicts)
-  std::string aspect;   // "record", "trust", "plan/<device>", "slo/<name>", ...
+  std::string aspect;   // "record", "trust", "trust/memory", "plan/<n>", ...
   std::string expected;
   std::string actual;
 };

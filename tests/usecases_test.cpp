@@ -114,6 +114,28 @@ TEST(RequestPipeline, NodeFailureMidStreamCountsAsFailures) {
   EXPECT_EQ(pipeline.kpis().failed, 1u);
 }
 
+// Regression: RunStage checked up() before shipping a stage's input, but not
+// when the input arrived. A target that failed during the transfer dropped
+// the task in Submit, and the request was counted neither completed nor
+// failed.
+TEST(RequestPipeline, TargetFailingWhileTheInputIsInFlightFailsTheRequest) {
+  Fixture f;
+  Scenario s = SmartMobilityScenario();
+  ASSERT_TRUE(DeployScenario(s, f.cluster, 1).ok());
+  const sched::PodView first =
+      f.cluster.FindPod(s.name + "/" + s.stages.front().pod_name);
+  ASSERT_TRUE(first.valid());
+  ASSERT_NE(first.node_id(), s.source_host) << "the input must be shipped";
+  RequestPipeline pipeline(*f.net, f.infra, f.cluster, s);
+  const std::uint64_t launched = 1;
+  pipeline.LaunchRequest();  // ships the first stage's input now
+  f.infra.FindNode(first.node_id())->SetUp(false);  // before it arrives
+  f.engine.RunUntil(SimTime::Seconds(2));
+  const ScenarioKpis& kpis = pipeline.kpis();
+  EXPECT_EQ(kpis.completed + kpis.failed, launched);
+  EXPECT_EQ(kpis.failed, 1u);
+}
+
 TEST(RequestPipeline, DeadlineViolationsDetectedUnderOverload) {
   Fixture f;
   Scenario s = SmartMobilityScenario();
