@@ -39,9 +39,9 @@ LayerOutcome EvaluateAt(const continuum::Infrastructure& infra,
   if (node->id() != "edge-0") {
     auto route = infra.topology.FindRoute("edge-0", node->id());
     if (route.ok()) {
-      network_ms = route->propagation.ToMillisF() +
+      network_ms = (*route)->propagation.ToMillisF() +
                    static_cast<double>(bytes) * 8.0 /
-                       route->min_bandwidth_bps * 1e3;
+                       (*route)->min_bandwidth_bps * 1e3;
       network_mj = static_cast<double>(bytes) * 20e-9 * 1e3;  // 20 nJ/byte radio+NIC
     }
   }

@@ -237,6 +237,40 @@ void BM_BB_NetworkRpc(benchmark::State& state) {
 }
 BENCHMARK(BM_BB_NetworkRpc);
 
+// One RPC round trip edge -> fog -> cloud while a bulk frame holds the
+// fog -> cloud link, so the request waits in that link's queue.
+void BM_BB_NetworkRpcMultiHop(benchmark::State& state) {
+  sim::Engine engine;
+  net::Topology topo;
+  topo.AddBidirectional("edge", "fog", sim::SimTime::Millis(1), 1e9);
+  topo.AddBidirectional("fog", "cloud", sim::SimTime::Millis(10), 1e8);
+  net::Network network(engine, std::move(topo), 4);
+  network.Attach("cloud", [](const net::Message&) {});
+  network.RegisterRpc("cloud", "echo",
+                      [](const net::HostId&, const util::Json& req)
+                          -> util::StatusOr<util::Json> { return req; });
+  const util::Json request =
+      util::Json::MakeObject().Set("pod", "app/stage-1").Set("cpu", 0.5);
+  for (auto _ : state) {
+    // 125 kB at 100 Mb/s: the link is busy for 10 ms.
+    util::MustOk(network.Send(net::Message{.from = "fog",
+                                           .to = "cloud",
+                                           .kind = "bulk",
+                                           .payload = {},
+                                           .body_bytes = 125'000}));
+    bool done = false;
+    network.Call("edge", "cloud", "echo", request,
+                 [&](util::StatusOr<util::Json> reply) { done = reply.ok(); });
+    engine.Run();
+    if (!done) {
+      state.SkipWithError("the round trip failed");
+      break;
+    }
+  }
+  state.counters["sim_msgs"] = static_cast<double>(network.messages_delivered());
+}
+BENCHMARK(BM_BB_NetworkRpcMultiHop);
+
 void BM_BB_PubSubFanout(benchmark::State& state) {
   const int subscribers = static_cast<int>(state.range(0));
   sim::Engine engine;

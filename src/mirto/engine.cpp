@@ -186,7 +186,8 @@ util::StatusOr<double> MirtoEngine::ComputeBid(continuum::Layer layer,
                           : 1.0;
   auto route = network_.topology().FindRoute(infra_.DefaultGateway(),
                                              result->node_id);
-  const double latency_ms = route.ok() ? route->propagation.ToMillisF() : 50.0;
+  const double latency_ms =
+      route.ok() ? (*route)->propagation.ToMillisF() : 50.0;
   return kBidEnergyWeight * pod.cpu_request * power_per_cpu * 1e-3 +
          kBidLatencyWeight * latency_ms + kBidLoadWeight * load;
 }

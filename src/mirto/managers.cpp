@@ -164,7 +164,7 @@ std::map<std::string, double> NetworkManager::LatencyCostMs(
   std::map<std::string, double> out;
   for (const std::string& node : node_ids) {
     auto route = topology_.FindRoute(anchor_host, node);
-    out[node] = route.ok() ? route->propagation.ToMillisF() : 1e9;
+    out[node] = route.ok() ? (*route)->propagation.ToMillisF() : 1e9;
   }
   return out;
 }

@@ -5,23 +5,27 @@
 
 namespace myrtus::net {
 
+void Topology::Invalidate() {
+  routes_dirty_ = true;
+  route_cache_.clear();
+}
+
 void Topology::AddHost(const HostId& id) {
-  if (host_index_.count(id) > 0) return;
-  host_index_[id] = hosts_.size();
+  if (!host_index_.try_emplace(id, hosts_.size()).second) return;
   hosts_.push_back(id);
   out_links_.emplace_back();
-  routes_dirty_ = true;
+  Invalidate();
 }
 
 void Topology::AddLink(Link link) {
   AddHost(link.from);
   AddHost(link.to);
   const std::size_t index = links_.size();
-  out_links_[host_index_[link.from]].push_back(index);
-  link_dst_.push_back(host_index_[link.to]);
+  out_links_[host_index_.at(link.from)].push_back(index);
+  link_dst_.push_back(host_index_.at(link.to));
   links_.push_back(std::move(link));
   link_up_.push_back(true);
-  routes_dirty_ = true;
+  Invalidate();
 }
 
 void Topology::AddBidirectional(const HostId& a, const HostId& b,
@@ -35,10 +39,15 @@ bool Topology::HasHost(const HostId& id) const {
   return host_index_.count(id) > 0;
 }
 
+std::size_t Topology::HostIndex(const HostId& id) const {
+  const auto it = host_index_.find(id);
+  return it == host_index_.end() ? kNoHost : it->second;
+}
+
 void Topology::SetLinkUp(std::size_t index, bool up) {
   if (index < link_up_.size() && link_up_[index] != up) {
     link_up_[index] = up;
-    routes_dirty_ = true;
+    Invalidate();
   }
 }
 
@@ -80,29 +89,33 @@ void Topology::EnsureRoutesFresh() const {
   routes_dirty_ = false;
 }
 
-util::StatusOr<Route> Topology::FindRoute(const HostId& from,
-                                          const HostId& to) const {
-  const auto fit = host_index_.find(from);
-  const auto tit = host_index_.find(to);
-  if (fit == host_index_.end() || tit == host_index_.end()) {
+util::StatusOr<RouteRef> Topology::FindRoute(const HostId& from,
+                                             const HostId& to) const {
+  return FindRoute(HostIndex(from), HostIndex(to));
+}
+
+util::StatusOr<RouteRef> Topology::FindRoute(std::size_t from,
+                                             std::size_t to) const {
+  if (from >= hosts_.size() || to >= hosts_.size()) {
     return util::Status::NotFound("unknown host in route query");
   }
-  if (fit->second == tit->second) {
-    return Route{};  // loopback: empty path, zero latency
+  // Every mutation clears the cache, so a cached route is always current.
+  const std::uint64_t key = (static_cast<std::uint64_t>(from) << 32) | to;
+  if (const auto it = route_cache_.find(key); it != route_cache_.end()) {
+    return it->second;
+  }
+  if (from == to) {
+    // Loopback: empty path, zero latency.
+    return route_cache_.emplace(key, std::make_shared<const Route>()).first->second;
   }
   EnsureRoutesFresh();
 
   Route route;
-  std::size_t cur = fit->second;
-  const std::size_t dst = tit->second;
+  std::size_t cur = from;
   route.min_bandwidth_bps = std::numeric_limits<double>::max();
   // Walk first-hop pointers; bounded by host count to guard against cycles.
-  for (std::size_t step = 0; step <= hosts_.size(); ++step) {
-    if (cur == dst) {
-      if (route.link_indices.empty()) break;
-      return route;
-    }
-    const std::int32_t li = next_link_[cur][dst];
+  for (std::size_t step = 0; step <= hosts_.size() && cur != to; ++step) {
+    const std::int32_t li = next_link_[cur][to];
     if (li < 0) break;
     const Link& l = links_[static_cast<std::size_t>(li)];
     route.link_indices.push_back(static_cast<std::size_t>(li));
@@ -110,8 +123,13 @@ util::StatusOr<Route> Topology::FindRoute(const HostId& from,
     route.min_bandwidth_bps = std::min(route.min_bandwidth_bps, l.bandwidth_bps);
     cur = link_dst_[static_cast<std::size_t>(li)];
   }
-  if (cur == dst && !route.link_indices.empty()) return route;
-  return util::Status::NotFound("no route from " + from + " to " + to);
+  if (cur != to) {
+    return util::Status::NotFound("no route from " + hosts_[from] + " to " +
+                                  hosts_[to]);
+  }
+  return route_cache_
+      .emplace(key, std::make_shared<const Route>(std::move(route)))
+      .first->second;
 }
 
 }  // namespace myrtus::net

@@ -1,9 +1,42 @@
 #include "net/transport.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 namespace myrtus::net {
+namespace {
+
+// Simulated RPC sizes: those of the JSON documents the envelope stands for,
+// with keys in the order std::map sorts them:
+//   {"call_id":N,"method":"M","request":R,"tctx":T}  (tctx when tracing)
+//   {"call_id":N,"ok":true,"result":R}
+//   {"call_id":N,"code":C,"error":"E","ok":false}
+constexpr std::size_t Lit(std::string_view text) { return text.size(); }
+
+std::size_t RequestEnvelopeBytes(std::uint64_t call_id,
+                                 const std::string& method,
+                                 const util::Json& request,
+                                 const telemetry::SpanContext& tctx) {
+  std::size_t n = Lit(R"({"call_id":)") + util::Json(call_id).DumpSize() +
+                  Lit(R"(,"method":)") + util::Json::QuotedSize(method) +
+                  Lit(R"(,"request":)") + request.DumpSize() + Lit("}");
+  if (tctx.valid()) n += Lit(R"(,"tctx":)") + tctx.ToJson().DumpSize();
+  return n;
+}
+
+std::size_t ReplyEnvelopeBytes(std::uint64_t call_id, bool ok,
+                               const util::Json& result, util::StatusCode code,
+                               const std::string& error) {
+  const std::size_t n = Lit(R"({"call_id":)") + util::Json(call_id).DumpSize();
+  if (ok) return n + Lit(R"(,"ok":true,"result":)") + result.DumpSize() + Lit("}");
+  return n + Lit(R"(,"code":)") +
+         util::Json(static_cast<std::int64_t>(code)).DumpSize() +
+         Lit(R"(,"error":)") + util::Json::QuotedSize(error) +
+         Lit(R"(,"ok":false})");
+}
+
+}  // namespace
 
 std::string_view ProtocolName(Protocol p) {
   switch (p) {
@@ -59,35 +92,70 @@ void Network::FinishCallTelemetry(PendingCall& call, const util::Status& status)
 
 void Network::Attach(const HostId& host, MessageHandler handler) {
   topology_.AddHost(host);
-  handlers_[host] = std::move(handler);
+  const std::size_t h = topology_.HostIndex(host);
+  if (h >= handlers_.size()) handlers_.resize(h + 1);
+  handlers_[h] = std::move(handler);
+}
+
+std::uint32_t Network::AcquireFrame() {
+  if (!free_frames_.empty()) {
+    const std::uint32_t f = free_frames_.back();
+    free_frames_.pop_back();
+    return f;
+  }
+  frames_.emplace_back();
+  return static_cast<std::uint32_t>(frames_.size() - 1);
+}
+
+void Network::ReleaseFrame(std::uint32_t f) {
+  // Every send sets the fields its kind reads; only what holds memory or a
+  // route is dropped here.
+  Frame& frame = frames_[f];
+  frame.msg.payload = util::Json();
+  frame.route.reset();
+  free_frames_.push_back(f);
 }
 
 util::StatusOr<std::uint64_t> Network::Send(Message msg) {
-  msg.id = next_msg_id_++;
-  if (msg.body_bytes == 0) {
-    msg.body_bytes = msg.payload.Dump().size();
+  const std::uint32_t f = AcquireFrame();
+  Frame& frame = frames_[f];
+  frame.kind = FrameKind::kDatagram;
+  frame.loopback = msg.from == msg.to;
+  frame.from = topology_.HostIndex(msg.from);
+  frame.to = topology_.HostIndex(msg.to);
+  frame.msg = std::move(msg);
+  if (frame.msg.body_bytes == 0) {
+    frame.msg.body_bytes = frame.msg.payload.DumpSize();
   }
-  if (msg.from == msg.to) {
+  return Launch(f);
+}
+
+util::StatusOr<std::uint64_t> Network::Launch(std::uint32_t f) {
+  Frame& frame = frames_[f];
+  const std::uint64_t id = frame.msg.id = next_msg_id_++;
+  if (frame.loopback) {
     // Loopback: deliver on the next event-loop turn, zero cost.
-    Message local = std::move(msg);
-    const std::uint64_t id = local.id;
-    engine_.ScheduleAfter(sim::SimTime::Zero(),
-                          [this, m = std::move(local)] { Dispatch(m); });
+    engine_.ScheduleAfter(sim::SimTime::Zero(), [this, f] { Deliver(f); });
     return id;
   }
-  auto route = topology_.FindRoute(msg.from, msg.to);
-  if (!route.ok()) return route.status();
-  const std::uint64_t id = msg.id;
-  DeliverHop(std::move(msg), std::move(route).value(), 0);
+  auto route = topology_.FindRoute(frame.from, frame.to);
+  if (!route.ok()) {
+    ReleaseFrame(f);
+    return route.status();
+  }
+  frame.route = std::move(route).value();
+  frame.hop = 0;
+  DeliverHop(f);
   return id;
 }
 
-void Network::DeliverHop(Message msg, Route route, std::size_t hop_index) {
-  if (hop_index >= route.link_indices.size()) {
-    Dispatch(msg);
+void Network::DeliverHop(std::uint32_t f) {
+  const Frame& frame = frames_[f];
+  if (frame.hop >= frame.route->link_indices.size()) {
+    Deliver(f);
     return;
   }
-  const std::size_t li = route.link_indices[hop_index];
+  const std::size_t li = frame.route->link_indices[frame.hop];
   const Link& link = topology_.link(li);
 
   // Loss check per hop.
@@ -96,6 +164,7 @@ void Network::DeliverHop(Message msg, Route route, std::size_t hop_index) {
     if (telemetry::Enabled()) {
       telemetry::Global().metrics.Add("myrtus_net_drops_total");
     }
+    ReleaseFrame(f);
     return;
   }
 
@@ -103,25 +172,24 @@ void Network::DeliverHop(Message msg, Route route, std::size_t hop_index) {
   if (state.busy) {
     // Enqueue by (priority desc, seq asc); vector kept sorted on insert so
     // the next frame to send is always at the back.
-    PendingTx pending{msg.priority, next_tx_seq_++, std::move(msg),
-                      std::move(route), hop_index};
+    const PendingTx pending{frame.msg.priority, next_tx_seq_++, f};
     auto it = std::lower_bound(
         state.waiting.begin(), state.waiting.end(), pending,
         [](const PendingTx& a, const PendingTx& b) {
           if (a.priority != b.priority) return a.priority < b.priority;
           return a.seq > b.seq;  // older (smaller seq) closer to the back
         });
-    state.waiting.insert(it, std::move(pending));
+    state.waiting.insert(it, pending);
     return;
   }
-  StartTransmission(li, std::move(msg), std::move(route), hop_index);
+  StartTransmission(li, f);
 }
 
-void Network::StartTransmission(std::size_t link_index, Message msg,
-                                Route route, std::size_t hop_index) {
+void Network::StartTransmission(std::size_t link_index, std::uint32_t f) {
+  Frame& frame = frames_[f];
   const Link& link = topology_.link(link_index);
   const std::size_t wire_bytes =
-      msg.body_bytes + ProtocolOverheadBytes(msg.protocol);
+      frame.msg.body_bytes + ProtocolOverheadBytes(frame.msg.protocol);
   const sim::SimTime serialization = sim::SimTime::FromSeconds(
       static_cast<double>(wire_bytes) * 8.0 / link.bandwidth_bps);
   const sim::SimTime jitter =
@@ -135,19 +203,16 @@ void Network::StartTransmission(std::size_t link_index, Message msg,
   if (telemetry::Enabled()) {
     telemetry::Global().metrics.Add(
         "myrtus_net_bytes_total", static_cast<double>(wire_bytes),
-        {{"protocol", std::string(ProtocolName(msg.protocol))}});
+        {{"protocol", std::string(ProtocolName(frame.msg.protocol))}});
   }
 
   const sim::SimTime tx_done = engine_.Now() + serialization;
   const sim::SimTime arrival = tx_done + link.latency + jitter;
+  ++frame.hop;
   // The link frees when the last bit leaves; the frame arrives after the
   // propagation delay.
   engine_.ScheduleAt(tx_done, [this, link_index] { OnLinkFree(link_index); });
-  engine_.ScheduleAt(arrival,
-                     [this, m = std::move(msg), route = std::move(route),
-                      hop_index]() mutable {
-                       DeliverHop(std::move(m), std::move(route), hop_index + 1);
-                     });
+  engine_.ScheduleAt(arrival, [this, f] { DeliverHop(f); });
 }
 
 Network::LinkState& Network::StateOf(std::size_t link_index) {
@@ -161,29 +226,43 @@ void Network::OnLinkFree(std::size_t link_index) {
   LinkState& state = link_state_[link_index];
   state.busy = false;
   if (state.waiting.empty()) return;
-  PendingTx next = std::move(state.waiting.back());
+  const std::uint32_t next = state.waiting.back().frame;
   state.waiting.pop_back();
-  StartTransmission(link_index, std::move(next.msg), std::move(next.route),
-                    next.hop_index);
+  StartTransmission(link_index, next);
 }
 
-void Network::Dispatch(const Message& msg) {
+void Network::Deliver(std::uint32_t f) {
   ++delivered_;
   if (telemetry::Enabled()) {
     telemetry::Global().metrics.Add("myrtus_net_delivered_total");
   }
-  if (msg.kind == "rpc.request") {
-    HandleRpcRequest(msg);
-    return;
+  // The slab is a deque, so `frame` stays valid while handlers send.
+  Frame& frame = frames_[f];
+  if (frame.to == Topology::kNoHost && frame.kind != FrameKind::kRpcReply) {
+    // A loopback to a host unknown at send time may have registered since.
+    frame.to = topology_.HostIndex(frame.msg.to);
   }
-  if (msg.kind == "rpc.reply") {
-    HandleRpcReply(msg);
-    return;
+  switch (frame.kind) {
+    case FrameKind::kRpcRequest:
+      HandleRpcRequest(frame);
+      break;
+    case FrameKind::kRpcReply:
+      HandleRpcReply(frame);
+      break;
+    case FrameKind::kDatagram:
+      if (frame.to < handlers_.size() && handlers_[frame.to]) {
+        handlers_[frame.to](frame.msg);
+      }
+      break;
   }
-  const auto it = handlers_.find(msg.to);
-  if (it != handlers_.end() && it->second) {
-    it->second(msg);
-  }
+  ReleaseFrame(f);
+}
+
+std::uint32_t Network::InternMethod(const std::string& method) {
+  const auto [it, inserted] = method_ids_.try_emplace(
+      method, static_cast<std::uint32_t>(method_names_.size()));
+  if (inserted) method_names_.push_back(method);
+  return it->second;
 }
 
 void Network::RegisterRpc(const HostId& host, const std::string& method,
@@ -199,7 +278,17 @@ void Network::RegisterRpc(const HostId& host, const std::string& method,
 void Network::RegisterAsyncRpc(const HostId& host, const std::string& method,
                                AsyncRpcHandler handler) {
   topology_.AddHost(host);
-  rpc_handlers_[{host, method}] = std::move(handler);
+  const std::size_t h = topology_.HostIndex(host);
+  const std::uint32_t m = InternMethod(method);
+  if (h >= rpc_slots_.size()) rpc_slots_.resize(h + 1);
+  std::vector<std::uint32_t>& slots = rpc_slots_[h];
+  if (m >= slots.size()) slots.resize(m + 1, 0);
+  if (slots[m] != 0) {
+    rpc_handlers_[slots[m] - 1] = std::move(handler);
+    return;
+  }
+  rpc_handlers_.push_back(std::move(handler));
+  slots[m] = static_cast<std::uint32_t>(rpc_handlers_.size());
 }
 
 void Network::Call(const HostId& from, const HostId& to,
@@ -221,7 +310,7 @@ void Network::Call(const HostId& from, const HostId& to,
   });
   if (telemetry::Enabled()) {
     // Client span: child of whatever context is current at call time. Its
-    // context rides in the request header so the server span links to it.
+    // context rides in the request envelope so the server span links to it.
     auto& tel = telemetry::Global();
     pending.span = tel.tracer.StartSpan("rpc.call " + method, "net",
                                         tel.tracer.current(), engine_.Now().ns);
@@ -233,21 +322,24 @@ void Network::Call(const HostId& from, const HostId& to,
   const telemetry::SpanContext call_span = pending.span;
   pending_calls_[call_id] = std::move(pending);
 
-  Message msg;
-  msg.from = from;
-  msg.to = to;
-  msg.protocol = protocol;
-  msg.kind = "rpc.request";
-  msg.body_bytes = body_bytes;
-  msg.priority = priority;
-  msg.payload = util::Json::MakeObject()
-                    .Set("call_id", call_id)
-                    .Set("method", method)
-                    .Set("request", std::move(request));
-  if (call_span.valid()) {
-    msg.payload.Set("tctx", call_span.ToJson());
-  }
-  auto sent = Send(std::move(msg));
+  const std::uint32_t f = AcquireFrame();
+  Frame& frame = frames_[f];
+  frame.kind = FrameKind::kRpcRequest;
+  frame.loopback = from == to;
+  frame.msg.from = from;
+  frame.msg.to = to;
+  frame.from = topology_.HostIndex(from);
+  frame.to = topology_.HostIndex(to);
+  frame.msg.protocol = protocol;
+  frame.msg.priority = priority;
+  frame.call_id = call_id;
+  frame.method = InternMethod(method);
+  frame.tctx = call_span;
+  frame.msg.body_bytes =
+      body_bytes != 0 ? body_bytes
+                      : RequestEnvelopeBytes(call_id, method, request, call_span);
+  frame.msg.payload = std::move(request);
+  auto sent = Launch(f);
   if (!sent.ok()) {
     const auto it = pending_calls_.find(call_id);
     if (it != pending_calls_.end()) {
@@ -268,32 +360,29 @@ void Network::Call(const HostId& from, const HostId& to,
   }
 }
 
-void Network::HandleRpcRequest(const Message& msg) {
-  const std::string method = msg.payload.at("method").as_string();
-  const std::int64_t call_id = msg.payload.at("call_id").as_int();
+void Network::HandleRpcRequest(const Frame& frame) {
+  // Read before the handler runs: it may intern methods.
+  const std::string& method = method_names_[frame.method];
 
   // Server span: parented on the remote client span via the propagated
-  // header, current while the handler runs, ended when the handler responds
+  // context, current while the handler runs, ended when the handler responds
   // (which for async handlers may be much later than the dispatch).
   telemetry::SpanContext server_span;
   if (telemetry::Enabled()) {
     auto& tel = telemetry::Global();
-    server_span = tel.tracer.StartSpan(
-        "rpc.serve " + method, "net",
-        telemetry::SpanContext::FromJson(msg.payload.at("tctx")),
-        engine_.Now().ns);
-    tel.tracer.SetAttribute(server_span, "host", msg.to);
+    server_span = tel.tracer.StartSpan("rpc.serve " + method, "net",
+                                       frame.tctx, engine_.Now().ns);
+    tel.tracer.SetAttribute(server_span, "host", frame.msg.to);
   }
 
   // The responder may run immediately (sync handlers) or later (replicated
   // writes). A shared fired-flag makes double responses harmless.
   auto fired = std::make_shared<bool>(false);
-  const HostId responder_host = msg.to;
-  const HostId caller_host = msg.from;
-  const Protocol protocol = msg.protocol;
-  const int priority = msg.priority;
-  RpcResponder respond = [this, fired, responder_host, caller_host, protocol,
-                          priority, call_id,
+  RpcResponder respond = [this, fired, responder = frame.to, caller = frame.from,
+                          loopback = frame.loopback,
+                          protocol = frame.msg.protocol,
+                          priority = frame.msg.priority,
+                          call_id = frame.call_id,
                           server_span](util::StatusOr<util::Json> result) {
     if (*fired) return;
     *fired = true;
@@ -304,53 +393,62 @@ void Network::HandleRpcRequest(const Message& msg) {
           std::string(util::StatusCodeName(result.status().code())));
       tel.tracer.EndSpan(server_span, engine_.Now().ns);
     }
-    Message reply;
-    reply.from = responder_host;
-    reply.to = caller_host;
-    reply.protocol = protocol;
-    reply.priority = priority;
-    reply.kind = "rpc.reply";
-    util::Json body = util::Json::MakeObject();
-    body.Set("call_id", call_id);
-    if (result.ok()) {
-      body.Set("ok", true).Set("result", std::move(result).value());
-    } else {
-      body.Set("ok", false)
-          .Set("code", static_cast<std::int64_t>(result.status().code()))
-          .Set("error", result.status().message());
-    }
-    reply.payload = std::move(body);
-    // LINT: discard(reply send failure behaves like a timeout at the caller)
-    (void)Send(std::move(reply));
+    SendReply(responder, caller, loopback, protocol, priority, call_id,
+              std::move(result));
   };
 
-  const auto it = rpc_handlers_.find({msg.to, method});
-  if (it == rpc_handlers_.end()) {
+  std::uint32_t slot = 0;
+  if (frame.to < rpc_slots_.size() && frame.method < rpc_slots_[frame.to].size()) {
+    slot = rpc_slots_[frame.to][frame.method];
+  }
+  if (slot == 0) {
     respond(util::Status::Unimplemented("no handler for " + method + " on " +
-                                        msg.to));
+                                        frame.msg.to));
     return;
   }
   // The server span is the current context while the handler runs, so spans
   // it starts (scheduler passes, nested RPCs, pubsub fan-out) nest under it.
   if (server_span.valid()) telemetry::Global().tracer.PushContext(server_span);
-  it->second(msg.from, msg.payload.at("request"), std::move(respond));
+  rpc_handlers_[slot - 1](frame.msg.from, frame.msg.payload, std::move(respond));
   if (server_span.valid()) telemetry::Global().tracer.PopContext();
 }
 
-void Network::HandleRpcReply(const Message& msg) {
-  const auto call_id = static_cast<std::uint64_t>(msg.payload.at("call_id").as_int());
-  const auto it = pending_calls_.find(call_id);
+void Network::SendReply(std::size_t from, std::size_t to, bool loopback,
+                        Protocol protocol, int priority, std::uint64_t call_id,
+                        util::StatusOr<util::Json> result) {
+  const std::uint32_t f = AcquireFrame();
+  Frame& reply = frames_[f];
+  reply.kind = FrameKind::kRpcReply;
+  reply.loopback = loopback;
+  reply.from = from;
+  reply.to = to;
+  reply.msg.protocol = protocol;
+  reply.msg.priority = priority;
+  reply.call_id = call_id;
+  reply.ok = result.ok();
+  reply.code = result.status().code();
+  if (reply.ok) {
+    reply.msg.payload = std::move(result).value();
+  } else {
+    reply.error = result.status().message();
+  }
+  reply.msg.body_bytes = ReplyEnvelopeBytes(call_id, reply.ok, reply.msg.payload,
+                                            reply.code, reply.error);
+  // LINT: discard(reply send failure behaves like a timeout at the caller)
+  (void)Launch(f);
+}
+
+void Network::HandleRpcReply(Frame& frame) {
+  const auto it = pending_calls_.find(frame.call_id);
   if (it == pending_calls_.end()) return;  // raced with timeout
   engine_.Cancel(it->second.timeout_event);
   PendingCall call = std::move(it->second);
   pending_calls_.erase(it);
-  if (msg.payload.at("ok").as_bool()) {
+  if (frame.ok) {
     FinishCallTelemetry(call, util::Status::Ok());
-    call.callback(msg.payload.at("result"));
+    call.callback(std::exchange(frame.msg.payload, util::Json()));
   } else {
-    const util::Status error(
-        static_cast<util::StatusCode>(msg.payload.at("code").as_int()),
-        msg.payload.at("error").as_string());
+    const util::Status error(frame.code, frame.error);
     FinishCallTelemetry(call, error);
     call.callback(error);
   }

@@ -3,13 +3,22 @@
 //   (+ jitter) and i.i.d. loss. On top of raw datagrams it offers a
 // request/response RPC fabric used by MIRTO agents, the KB's consensus
 // traffic, and the kube-like control plane.
+//
+// Each message in flight is one frame in a pooled slab: hops, link queues and
+// delivery carry its index, and hosts are addressed by topology index. An RPC
+// frame carries its envelope (call id, method, span context, status) as typed
+// fields; its simulated size is that of the JSON document the envelope
+// describes, counted without serializing it.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "net/retry.hpp"
 #include "net/topology.hpp"
@@ -28,7 +37,7 @@ std::string_view ProtocolName(Protocol p);
 /// Per-message framing overhead in bytes added to the payload.
 std::size_t ProtocolOverheadBytes(Protocol p);
 
-/// A datagram in flight.
+/// A datagram: what Send takes and an attached handler receives.
 struct Message {
   HostId from;
   HostId to;
@@ -64,8 +73,9 @@ class Network {
   /// registrations replace earlier ones).
   void Attach(const HostId& host, MessageHandler handler);
 
-  /// Sends a message. Returns the message id, or an error when no route
-  /// exists. Loss is silent (no callback), like a real datagram network.
+  /// Sends a message to the handler attached at `msg.to`. Returns the
+  /// message id, or an error when no route exists. Loss is silent (no
+  /// callback), like a real datagram network.
   util::StatusOr<std::uint64_t> Send(Message msg);
 
   /// --- RPC fabric -------------------------------------------------------
@@ -125,21 +135,59 @@ class Network {
   void RunRetryAttempt(std::shared_ptr<RetryOp> op);
   void HandleAttemptFailure(std::shared_ptr<RetryOp> op, util::Status status,
                             bool record_outcome);
-  void DeliverHop(Message msg, Route route, std::size_t hop_index);
-  void StartTransmission(std::size_t link_index, Message msg, Route route,
-                         std::size_t hop_index);
+
+  enum class FrameKind : std::uint8_t { kDatagram, kRpcRequest, kRpcReply };
+  /// One message in flight. `msg.payload` is the datagram body, the RPC
+  /// request or the RPC result; the envelope fields serve the RPC kinds.
+  struct Frame {
+    FrameKind kind = FrameKind::kDatagram;
+    bool loopback = false;
+    Message msg;
+    std::size_t from = Topology::kNoHost;  // topology indices
+    std::size_t to = Topology::kNoHost;
+    RouteRef route;         // fixed at send time
+    std::size_t hop = 0;    // next link on `route`
+    std::uint64_t call_id = 0;
+    std::uint32_t method = 0;      // interned name (requests)
+    telemetry::SpanContext tctx;   // caller span (requests)
+    bool ok = true;                // replies: result or error
+    util::StatusCode code = util::StatusCode::kOk;
+    std::string error;
+  };
+  std::uint32_t AcquireFrame();
+  void ReleaseFrame(std::uint32_t f);
+  /// Numbers the frame and starts it on its way; releases it and returns the
+  /// route error when there is no route.
+  util::StatusOr<std::uint64_t> Launch(std::uint32_t f);
+  void DeliverHop(std::uint32_t f);
+  void StartTransmission(std::size_t link_index, std::uint32_t f);
   void OnLinkFree(std::size_t link_index);
-  void HandleRpcRequest(const Message& msg);
-  void HandleRpcReply(const Message& msg);
-  void Dispatch(const Message& msg);
+  void Deliver(std::uint32_t f);
+  void HandleRpcRequest(const Frame& frame);
+  void HandleRpcReply(Frame& frame);
+  void SendReply(std::size_t from, std::size_t to, bool loopback,
+                 Protocol protocol, int priority, std::uint64_t call_id,
+                 util::StatusOr<util::Json> result);
+  std::uint32_t InternMethod(const std::string& method);
 
   sim::Engine& engine_;
   Topology topology_;
   util::Rng rng_;
   std::int64_t tracer_clock_token_ = 0;  // Tracer::set_clock installation
 
-  std::map<HostId, MessageHandler> handlers_;
-  std::map<std::pair<HostId, std::string>, AsyncRpcHandler> rpc_handlers_;
+  // Frame slab: a deque, so a frame stays put while a handler it delivers
+  // to sends more frames.
+  std::deque<Frame> frames_;
+  std::vector<std::uint32_t> free_frames_;
+
+  // Handlers by host index, in deques so a handler registering another one
+  // never moves the one that is running.
+  std::deque<MessageHandler> handlers_;
+  std::unordered_map<std::string, std::uint32_t> method_ids_;
+  std::vector<std::string> method_names_;  // by method id
+  std::deque<AsyncRpcHandler> rpc_handlers_;
+  // rpc_slots_[host][method] = 1 + index into rpc_handlers_ (0 = none).
+  std::vector<std::vector<std::uint32_t>> rpc_slots_;
 
   struct PendingCall {
     RpcCallback callback;
@@ -150,7 +198,7 @@ class Network {
     std::string method;
     std::int64_t started_ns = 0;
   };
-  std::map<std::uint64_t, PendingCall> pending_calls_;
+  std::unordered_map<std::uint64_t, PendingCall> pending_calls_;
 
   /// Ends the client span and records RPC latency/outcome metrics.
   void FinishCallTelemetry(PendingCall& call, const util::Status& status);
@@ -161,9 +209,7 @@ class Network {
   struct PendingTx {
     int priority;
     std::uint64_t seq;  // FIFO tie-break
-    Message msg;
-    Route route;
-    std::size_t hop_index;
+    std::uint32_t frame;
   };
   struct LinkState {
     bool busy = false;

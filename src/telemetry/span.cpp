@@ -28,14 +28,6 @@ util::Json SpanContext::ToJson() const {
       .Set("s", static_cast<std::int64_t>(span_id));
 }
 
-SpanContext SpanContext::FromJson(const util::Json& j) {
-  SpanContext ctx;
-  if (!j.is_object()) return ctx;
-  ctx.trace_id = static_cast<std::uint64_t>(j.at("t").as_int());
-  ctx.span_id = static_cast<std::uint64_t>(j.at("s").as_int());
-  return ctx;
-}
-
 SpanContext Tracer::StartSpan(std::string name, std::string category,
                               SpanContext parent, std::int64_t start_ns) {
   SpanRecord record;

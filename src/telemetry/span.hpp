@@ -18,16 +18,16 @@
 
 namespace myrtus::telemetry {
 
-/// Propagatable identity of one span. Serialized into message headers
-/// (`tctx`) so causality survives network hops.
+/// Propagatable identity of one span. RPC envelopes carry it (`tctx`) so
+/// causality survives network hops.
 struct SpanContext {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
 
   [[nodiscard]] bool valid() const { return span_id != 0; }
+  /// The `tctx` header as JSON; its encoded size is what the context adds
+  /// to a traced request.
   [[nodiscard]] util::Json ToJson() const;
-  /// Invalid context when `j` is not a well-formed header.
-  static SpanContext FromJson(const util::Json& j);
 };
 
 /// One finished (or in-flight) span.

@@ -145,7 +145,15 @@ RequestPipeline::RequestPipeline(net::Network& network,
                                  continuum::Infrastructure& infra,
                                  sched::Cluster& cluster,
                                  const Scenario& scenario)
-    : network_(network), infra_(infra), cluster_(cluster), scenario_(scenario) {}
+    : network_(network),
+      infra_(infra),
+      cluster_(cluster),
+      scenario_(scenario),
+      relay_method_("pipeline.continue/" + scenario.name) {
+  for (const Stage& stage : scenario.stages) {
+    pod_names_.push_back(scenario.name + "/" + stage.pod_name);
+  }
+}
 
 void RequestPipeline::LaunchRequest() {
   RunStage(0, scenario_.source_host, network_.engine().Now(),
@@ -169,7 +177,8 @@ void RequestPipeline::ScheduleArrival(sim::SimTime until,
                                   });
 }
 
-void RequestPipeline::RunStage(std::size_t stage_index, std::string at_host,
+void RequestPipeline::RunStage(std::size_t stage_index,
+                               const std::string& at_host,
                                sim::SimTime started,
                                util::MilliJoules energy_acc) {
   if (stage_index >= scenario_.stages.size()) {
@@ -177,8 +186,8 @@ void RequestPipeline::RunStage(std::size_t stage_index, std::string at_host,
     return;
   }
   const Stage& stage = scenario_.stages[stage_index];
-  const sched::PodView pod =
-      cluster_.FindPod(scenario_.name + "/" + stage.pod_name);
+  // Looked up per stage: the pod may have been rebound since the last one.
+  const sched::PodView pod = cluster_.FindPod(pod_names_[stage_index]);
   if (!pod || pod.phase() != sched::PodPhase::kRunning) {
     Finish(started, energy_acc, false);
     return;
@@ -216,7 +225,7 @@ void RequestPipeline::RunStage(std::size_t stage_index, std::string at_host,
   const std::uint64_t token = next_token_++;
   pending_[token] = compute;
   network_.Call(
-      at_host, target, RelayMethod(),
+      at_host, target, relay_method_,
       util::Json::MakeObject().Set("token", token),
       [this, started, energy_acc, token](util::StatusOr<util::Json> reply) {
         if (!reply.ok()) {
@@ -228,14 +237,10 @@ void RequestPipeline::RunStage(std::size_t stage_index, std::string at_host,
       std::max<std::size_t>(stage.demand.bytes_in, 64));
 }
 
-std::string RequestPipeline::RelayMethod() const {
-  return "pipeline.continue/" + scenario_.name;
-}
-
 void RequestPipeline::EnsureRelay(const std::string& host) {
   if (relay_hosts_.count(host) > 0) return;
   relay_hosts_.insert(host);
-  network_.RegisterRpc(host, RelayMethod(),
+  network_.RegisterRpc(host, relay_method_,
                        [this](const net::HostId&, const util::Json& req)
                            -> util::StatusOr<util::Json> {
                          const auto token =

@@ -93,16 +93,19 @@ class RequestPipeline {
   /// request plus the arrival after it, until `until`.
   void ScheduleArrival(sim::SimTime until,
                        const std::shared_ptr<util::Rng>& rng);
-  void RunStage(std::size_t stage_index, std::string at_host,
+  void RunStage(std::size_t stage_index, const std::string& at_host,
                 sim::SimTime started, util::MilliJoules energy_acc);
   void Finish(sim::SimTime started, util::MilliJoules energy, bool ok);
   void EnsureRelay(const std::string& host);
-  [[nodiscard]] std::string RelayMethod() const;
 
   net::Network& network_;
   continuum::Infrastructure& infra_;
   sched::Cluster& cluster_;
   const Scenario& scenario_;
+  // Built once from the scenario, which must not change after construction:
+  // each stage's pod name and the relay RPC method.
+  std::vector<std::string> pod_names_;
+  std::string relay_method_;
   ScenarioKpis kpis_;
   std::map<std::uint64_t, std::function<void()>> pending_;
   std::set<std::string> relay_hosts_;

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace myrtus::util {
 namespace {
@@ -14,29 +13,42 @@ const Json::Array kEmptyArray{};
 const Json::Object kEmptyObject{};
 const std::string kEmptyString{};
 
+/// The two-character escape of `c`, or empty when it has none. Other bytes
+/// below 0x20 take the six-character \u00XX form.
+std::string_view ShortEscape(unsigned char c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    case '\b': return "\\b";
+    case '\f': return "\\f";
+    default: return {};
+  }
+}
+
 void EscapeString(const std::string& s, std::string& out) {
   out.push_back('"');
   for (char raw : s) {
-    auto c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(raw);
-        }
+    const auto c = static_cast<unsigned char>(raw);
+    if (const std::string_view e = ShortEscape(c); !e.empty()) {
+      out += e;
+    } else if (c < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    } else {
+      out.push_back(raw);
     }
   }
   out.push_back('"');
+}
+
+/// Writes the "%.17g" form of a finite double into `buf` (at least 40
+/// bytes) and returns its length.
+std::size_t FormatDouble(double d, char* buf) {
+  return static_cast<std::size_t>(std::snprintf(buf, 40, "%.17g", d));
 }
 
 /// Recursive-descent parser over a string_view with position tracking.
@@ -316,11 +328,11 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
   } else if (const auto* d = std::get_if<double>(&v_)) {
     if (std::isfinite(*d)) {
       char buf[40];
-      std::snprintf(buf, sizeof buf, "%.17g", *d);
-      out += buf;
+      const std::size_t n = FormatDouble(*d, buf);
+      out.append(buf, n);
       // Integral doubles keep a ".0" so they reparse as doubles, not ints.
-      if (out.find_first_of(".eE", out.size() - std::strlen(buf)) ==
-          std::string::npos) {
+      if (std::string_view(buf, n).find_first_of(".eE") ==
+          std::string_view::npos) {
         out += ".0";
       }
     } else {
@@ -364,6 +376,52 @@ std::string Json::Dump() const {
   std::string out;
   DumpTo(out, 0, 0);
   return out;
+}
+
+std::size_t Json::QuotedSize(std::string_view s) {
+  std::size_t n = 2;
+  for (const char raw : s) {
+    const auto c = static_cast<unsigned char>(raw);
+    const std::size_t escape = ShortEscape(c).size();
+    n += escape != 0 ? escape : (c < 0x20 ? 6 : 1);
+  }
+  return n;
+}
+
+std::size_t Json::DumpSize() const {
+  if (const auto* b = std::get_if<bool>(&v_)) return *b ? 4 : 5;
+  if (const auto* i = std::get_if<std::int64_t>(&v_)) {
+    // Digits of the magnitude, computed unsigned so INT64_MIN has one.
+    std::uint64_t u = *i < 0 ? 0 - static_cast<std::uint64_t>(*i)
+                             : static_cast<std::uint64_t>(*i);
+    std::size_t n = *i < 0 ? 2 : 1;
+    while (u >= 10) {
+      u /= 10;
+      ++n;
+    }
+    return n;
+  }
+  if (const auto* d = std::get_if<double>(&v_)) {
+    if (!std::isfinite(*d)) return 4;  // null
+    char buf[40];
+    const std::size_t n = FormatDouble(*d, buf);
+    const bool integral = std::string_view(buf, n).find_first_of(".eE") ==
+                          std::string_view::npos;
+    return integral ? n + 2 : n;
+  }
+  if (const auto* s = std::get_if<std::string>(&v_)) return QuotedSize(*s);
+  if (const auto* a = std::get_if<Array>(&v_)) {
+    std::size_t n = a->empty() ? 2 : 1 + a->size();  // brackets and commas
+    for (const Json& item : *a) n += item.DumpSize();
+    return n;
+  }
+  if (const auto* o = std::get_if<Object>(&v_)) {
+    // Braces and commas, plus a colon per field.
+    std::size_t n = o->empty() ? 2 : 1 + 2 * o->size();
+    for (const auto& [k, item] : *o) n += QuotedSize(k) + item.DumpSize();
+    return n;
+  }
+  return 4;  // null
 }
 
 std::string Json::Pretty() const {

@@ -72,6 +72,10 @@ class Json {
 
   /// Canonical compact encoding.
   [[nodiscard]] std::string Dump() const;
+  /// Dump().size(), counted without building the string.
+  [[nodiscard]] std::size_t DumpSize() const;
+  /// Size of `s` encoded as a JSON string: quotes plus escapes.
+  [[nodiscard]] static std::size_t QuotedSize(std::string_view s);
   /// Pretty-printed encoding with 2-space indentation.
   [[nodiscard]] std::string Pretty() const;
 

@@ -173,7 +173,7 @@ TEST(Infrastructure, EveryEdgeNodeReachesCloud) {
     auto route = infra.topology.FindRoute(edge->id(), "cloud-0");
     ASSERT_TRUE(route.ok()) << edge->id();
     // edge -> gw -> fmdc -> cloud: 2 + 5 + 25 ms.
-    EXPECT_EQ(route->propagation, SimTime::Millis(32));
+    EXPECT_EQ((*route)->propagation, SimTime::Millis(32));
   }
 }
 

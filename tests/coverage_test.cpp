@@ -125,7 +125,7 @@ TEST(Infrastructure, ScalesWithSpec) {
   for (continuum::ComputeNode* edge : infra.NodesInLayer(continuum::Layer::kEdge)) {
     auto route = infra.topology.FindRoute(edge->id(), "cloud-0");
     ASSERT_TRUE(route.ok());
-    const std::string& first_hop = infra.topology.link(route->link_indices[0]).to;
+    const std::string& first_hop = infra.topology.link((*route)->link_indices[0]).to;
     if (first_hop == "gw-0") ++gw0;
     if (first_hop == "gw-1") ++gw1;
   }

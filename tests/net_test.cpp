@@ -2,7 +2,11 @@
 // MQTT-style broker.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/pubsub.hpp"
 #include "net/topology.hpp"
@@ -26,16 +30,16 @@ TEST(Topology, RouteAlongLine) {
   Topology t = LineTopology();
   auto route = t.FindRoute("edge", "cloud");
   ASSERT_TRUE(route.ok());
-  EXPECT_EQ(route->link_indices.size(), 2u);
-  EXPECT_EQ(route->propagation, SimTime::Millis(11));
+  EXPECT_EQ((*route)->link_indices.size(), 2u);
+  EXPECT_EQ((*route)->propagation, SimTime::Millis(11));
 }
 
 TEST(Topology, LoopbackIsEmptyRoute) {
   Topology t = LineTopology();
   auto route = t.FindRoute("fog", "fog");
   ASSERT_TRUE(route.ok());
-  EXPECT_TRUE(route->link_indices.empty());
-  EXPECT_EQ(route->propagation, SimTime::Zero());
+  EXPECT_TRUE((*route)->link_indices.empty());
+  EXPECT_EQ((*route)->propagation, SimTime::Zero());
 }
 
 TEST(Topology, UnknownHostIsNotFound) {
@@ -50,8 +54,8 @@ TEST(Topology, PicksLowerLatencyPath) {
   t.AddBidirectional("c", "b", SimTime::Millis(2), 1e9);
   auto route = t.FindRoute("a", "b");
   ASSERT_TRUE(route.ok());
-  EXPECT_EQ(route->link_indices.size(), 2u);  // via c: 3ms < 10ms direct
-  EXPECT_EQ(route->propagation, SimTime::Millis(3));
+  EXPECT_EQ((*route)->link_indices.size(), 2u);  // via c: 3ms < 10ms direct
+  EXPECT_EQ((*route)->propagation, SimTime::Millis(3));
 }
 
 TEST(Topology, LinkFailureReroutes) {
@@ -65,7 +69,7 @@ TEST(Topology, LinkFailureReroutes) {
   }
   auto route = t.FindRoute("a", "b");
   ASSERT_TRUE(route.ok());
-  EXPECT_EQ(route->propagation, SimTime::Millis(10));
+  EXPECT_EQ((*route)->propagation, SimTime::Millis(10));
 }
 
 TEST(Topology, DisconnectedIsNotFound) {
@@ -81,7 +85,7 @@ TEST(Topology, MinBandwidthAlongRoute) {
   t.AddBidirectional("b", "c", SimTime::Millis(1), 1e6);
   auto route = t.FindRoute("a", "c");
   ASSERT_TRUE(route.ok());
-  EXPECT_DOUBLE_EQ(route->min_bandwidth_bps, 1e6);
+  EXPECT_DOUBLE_EQ((*route)->min_bandwidth_bps, 1e6);
 }
 
 TEST(Network, DeliversWithExpectedLatency) {
@@ -248,6 +252,221 @@ TEST(Network, RpcTimesOutOnLostReply) {
   engine.Run();
   EXPECT_TRUE(timed_out);
   EXPECT_EQ(engine.Now(), SimTime::Millis(100));
+}
+
+// The JSON documents an RPC envelope stands for. Their encoded size plus the
+// protocol overhead is what a request (without a body_bytes override) or a
+// reply costs on every link it crosses.
+util::Json RequestEnvelope(std::int64_t call_id, const std::string& method,
+                           const util::Json& request,
+                           const telemetry::SpanContext* tctx = nullptr) {
+  util::Json envelope = util::Json::MakeObject()
+                            .Set("call_id", call_id)
+                            .Set("method", method)
+                            .Set("request", request);
+  if (tctx != nullptr) envelope.Set("tctx", tctx->ToJson());
+  return envelope;
+}
+
+util::Json ReplyEnvelope(std::int64_t call_id,
+                         const util::StatusOr<util::Json>& result) {
+  util::Json envelope = util::Json::MakeObject().Set("call_id", call_id);
+  if (result.ok()) return envelope.Set("ok", true).Set("result", *result);
+  return envelope.Set("ok", false)
+      .Set("code", static_cast<std::int64_t>(result.status().code()))
+      .Set("error", result.status().message());
+}
+
+// Strings that need escapes, an integral double, INT64_MIN, empty and
+// nested containers.
+util::Json AwkwardDocument() {
+  return util::Json::MakeObject()
+      .Set("text", std::string("a \"quoted\" \\path\n\x01\x1f\t"))
+      .Set("whole", 2.0)
+      .Set("min", std::numeric_limits<std::int64_t>::min())
+      .Set("empty", util::Json::MakeArray())
+      .Set("nested", util::Json::MakeObject().Set(
+                         "list", util::Json::MakeArray().Append(nullptr).Append(
+                                     util::Json::MakeObject())));
+}
+
+constexpr std::size_t kLineHops = 2;  // edge -> fog -> cloud
+
+TEST(NetworkBytes, RpcRoundTripsCostTheirJsonEnvelopes) {
+  sim::Engine engine;
+  Network net(engine, LineTopology(), 1);
+  const util::Json result = AwkwardDocument().Set("served", true);
+  net.RegisterRpc("cloud", "echo",
+                  [&](const HostId&, const util::Json&)
+                      -> util::StatusOr<util::Json> { return result; });
+  const std::size_t overhead = ProtocolOverheadBytes(Protocol::kHttp);
+  std::uint64_t want = 0;
+  // Twelve calls: call ids of one and two digits.
+  for (std::int64_t call_id = 1; call_id <= 12; ++call_id) {
+    const util::Json request = AwkwardDocument().Set("seq", call_id);
+    int replies = 0;
+    net.Call("edge", "cloud", "echo", request,
+             [&](util::StatusOr<util::Json> reply) {
+               ASSERT_TRUE(reply.ok());
+               EXPECT_EQ(*reply, result);
+               ++replies;
+             });
+    engine.Run();
+    ASSERT_EQ(replies, 1);
+    want += kLineHops *
+            (RequestEnvelope(call_id, "echo", request).Dump().size() + overhead);
+    want += kLineHops * (ReplyEnvelope(call_id, result).Dump().size() + overhead);
+    EXPECT_EQ(net.bytes_sent(), want) << "call " << call_id;
+  }
+}
+
+TEST(NetworkBytes, BodyBytesOverrideOnlyTheRequest) {
+  sim::Engine engine;
+  Network net(engine, LineTopology(), 1);
+  const util::Json result = AwkwardDocument();
+  net.RegisterRpc("cloud", "bulk",
+                  [&](const HostId&, const util::Json&)
+                      -> util::StatusOr<util::Json> { return result; });
+  const std::size_t overhead = ProtocolOverheadBytes(Protocol::kCoap);
+  net.Call("edge", "cloud", "bulk", AwkwardDocument(),
+           [](util::StatusOr<util::Json> reply) { ASSERT_TRUE(reply.ok()); },
+           SimTime::Seconds(5), Protocol::kCoap, /*body_bytes=*/4096);
+  engine.Run();
+  EXPECT_EQ(net.bytes_sent(),
+            kLineHops * (4096 + overhead) +
+                kLineHops * (ReplyEnvelope(1, result).Dump().size() + overhead));
+}
+
+TEST(NetworkBytes, ErrorRepliesCostTheirJsonEnvelopes) {
+  sim::Engine engine;
+  Network net(engine, LineTopology(), 1);
+  const util::Status refused =
+      util::Status::ResourceExhausted("no \"capacity\"\tleft\x02");
+  net.RegisterRpc("cloud", "fail",
+                  [&](const HostId&, const util::Json&)
+                      -> util::StatusOr<util::Json> { return refused; });
+  const std::size_t overhead = ProtocolOverheadBytes(Protocol::kMqtt);
+  const util::Json request = AwkwardDocument();
+  net.Call("edge", "cloud", "fail", request,
+           [&](util::StatusOr<util::Json> reply) {
+             EXPECT_EQ(reply.status(), refused);
+           },
+           SimTime::Seconds(5), Protocol::kMqtt);
+  // An unknown method is an error reply written by the network itself.
+  net.Call("edge", "cloud", "nope", util::Json(),
+           [](util::StatusOr<util::Json> reply) {
+             EXPECT_EQ(reply.status().code(), util::StatusCode::kUnimplemented);
+           },
+           SimTime::Seconds(5), Protocol::kMqtt);
+  engine.Run();
+  const util::Status unimplemented =
+      util::Status::Unimplemented("no handler for nope on cloud");
+  EXPECT_EQ(net.bytes_sent(),
+            kLineHops * (RequestEnvelope(1, "fail", request).Dump().size() +
+                         ReplyEnvelope(1, refused).Dump().size() +
+                         RequestEnvelope(2, "nope", util::Json()).Dump().size() +
+                         ReplyEnvelope(2, unimplemented).Dump().size() +
+                         4 * overhead));
+}
+
+TEST(NetworkBytes, TracedRequestsCarryTheSpanContext) {
+  telemetry::ResetGlobal();
+  telemetry::SetEnabled(true);
+  {
+    sim::Engine engine;
+    Network net(engine, LineTopology(), 1);
+    const util::Json result = util::Json(1.0);
+    net.RegisterRpc("cloud", "echo",
+                    [&](const HostId&, const util::Json&)
+                        -> util::StatusOr<util::Json> { return result; });
+    const util::Json request = AwkwardDocument();
+    net.Call("edge", "cloud", "echo", request,
+             [](util::StatusOr<util::Json> reply) { ASSERT_TRUE(reply.ok()); });
+    engine.Run();
+
+    telemetry::SpanContext client;
+    std::uint64_t server_parent = 0;
+    for (const telemetry::SpanRecord& span :
+         telemetry::Global().tracer.finished()) {
+      if (span.name == "rpc.call echo") client = {span.trace_id, span.span_id};
+      if (span.name == "rpc.serve echo") server_parent = span.parent_id;
+    }
+    ASSERT_TRUE(client.valid());
+    EXPECT_EQ(server_parent, client.span_id);
+    const std::size_t overhead = ProtocolOverheadBytes(Protocol::kHttp);
+    EXPECT_EQ(net.bytes_sent(),
+              kLineHops *
+                  (RequestEnvelope(1, "echo", request, &client).Dump().size() +
+                   ReplyEnvelope(1, result).Dump().size() + 2 * overhead));
+  }
+  telemetry::SetEnabled(false);
+  telemetry::ResetGlobal();
+}
+
+TEST(NetworkBytes, DatagramsCostTheirEncodedPayload) {
+  sim::Engine engine;
+  Network net(engine, LineTopology(), 1);
+  int delivered = 0;
+  net.Attach("cloud", [&](const Message& m) {
+    EXPECT_EQ(m.payload, AwkwardDocument());
+    EXPECT_EQ(m.body_bytes, AwkwardDocument().Dump().size());
+    ++delivered;
+  });
+  Message msg;
+  msg.from = "edge";
+  msg.to = "cloud";
+  msg.kind = "telemetry";
+  msg.protocol = Protocol::kMqtt;
+  msg.payload = AwkwardDocument();
+  ASSERT_TRUE(net.Send(std::move(msg)).ok());
+  engine.Run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(net.bytes_sent(),
+            kLineHops * (AwkwardDocument().Dump().size() +
+                         ProtocolOverheadBytes(Protocol::kMqtt)));
+}
+
+TEST(Network, InFlightFrameKeepsItsSendTimeRoute) {
+  // a -> b -> d is 2 ms, a -> c -> d is 20 ms.
+  sim::Engine engine;
+  Topology t;
+  t.AddBidirectional("a", "b", SimTime::Millis(1), 1e9);
+  t.AddBidirectional("b", "d", SimTime::Millis(1), 1e9);
+  t.AddBidirectional("a", "c", SimTime::Millis(10), 1e9);
+  t.AddBidirectional("c", "d", SimTime::Millis(10), 1e9);
+  Network net(engine, std::move(t), 1);
+  std::size_t b_to_d = 0;
+  for (std::size_t i = 0; i < net.topology().link_count(); ++i) {
+    if (net.topology().link(i).from == "b" && net.topology().link(i).to == "d") {
+      b_to_d = i;
+    }
+  }
+  std::vector<std::pair<std::uint64_t, SimTime>> arrivals;
+  net.Attach("d", [&](const Message& m) {
+    arrivals.emplace_back(m.id, engine.Now());
+  });
+  const auto send = [&] {
+    Message m;
+    m.from = "a";
+    m.to = "d";
+    m.body_bytes = 1;
+    auto id = net.Send(std::move(m));
+    EXPECT_TRUE(id.ok());
+    return id.ok() ? *id : 0;
+  };
+  const std::uint64_t first = send();
+  // The first frame is on a -> b when b -> d goes down.
+  engine.RunUntil(SimTime::Micros(500));
+  net.topology().SetLinkUp(b_to_d, false);
+  const std::uint64_t second = send();
+  engine.Run();
+
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0].first, first);
+  EXPECT_GT(arrivals[0].second, SimTime::Millis(2));
+  EXPECT_LT(arrivals[0].second, SimTime::Millis(3));
+  EXPECT_EQ(arrivals[1].first, second);
+  EXPECT_GT(arrivals[1].second, SimTime::Micros(500) + SimTime::Millis(20));
 }
 
 TEST(TopicMatch, ExactAndWildcards) {

@@ -87,14 +87,11 @@ TEST_F(TelemetryTest, SpansNestThroughImplicitContext) {
   EXPECT_EQ(g->start_ns, 250);
 }
 
-TEST_F(TelemetryTest, SpanContextJsonRoundtrip) {
+TEST_F(TelemetryTest, SpanContextJsonHeader) {
   const SpanContext ctx{42, 7};
-  const SpanContext back = SpanContext::FromJson(ctx.ToJson());
-  EXPECT_EQ(back.trace_id, 42u);
-  EXPECT_EQ(back.span_id, 7u);
-  EXPECT_TRUE(back.valid());
-  EXPECT_FALSE(SpanContext::FromJson(util::Json()).valid());
-  EXPECT_FALSE(SpanContext::FromJson(util::Json::MakeObject()).valid());
+  EXPECT_TRUE(ctx.valid());
+  EXPECT_FALSE(SpanContext{}.valid());
+  EXPECT_EQ(ctx.ToJson().Dump(), R"({"s":7,"t":42})");
 }
 
 // bench_e2e's deploy_storm hashes `finished().size() + dropped_spans()` and
