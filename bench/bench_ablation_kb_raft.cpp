@@ -7,11 +7,11 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/report.hpp"
 #include "kb/cluster.hpp"
 #include "kb/registry.hpp"
-#include "mirto/managers.hpp"
 #include "util/stats.hpp"
 
 using namespace myrtus;
@@ -155,34 +155,43 @@ void BM_RegistryAppendTelemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryAppendTelemetry);
 
-void BM_RegistryPublishTrust(benchmark::State& state) {
-  // One node's trust transition (its first failure after successes, or the
-  // reverse) written into a 1k-node registry that a MIRTO agent watches.
-  // Outcomes alternate per sweep, so every outcome is a transition and every
-  // publish writes one record.
+void BM_RegistryPutNode(benchmark::State& state) {
+  // One full node-record write, trust included, into a 1k-node registry that
+  // a peer watches: the MIRTO agent's one registry write per observed node.
+  // Writes sweep the nodes in turn, so every write replaces a live record.
   constexpr int kNodes = 1000;
   kb::Store store;
   kb::ResourceRegistry registry(store);
-  std::vector<std::string> ids;
+  std::vector<kb::NodeRecord> records;
   for (int n = 0; n < kNodes; ++n) {
-    ids.push_back("node-" + std::to_string(n));
-    registry.PutNode({.node_id = ids.back(), .layer = "edge", .kind = "hmpsoc"});
+    records.push_back({.node_id = "node-" + std::to_string(n),
+                       .layer = "edge",
+                       .kind = "hmpsoc",
+                       .cpu_capacity = 8.0,
+                       .mem_capacity_mb = 4096,
+                       .security_level = 1,
+                       .has_accelerator = true});
+    registry.PutNode(records.back());
   }
   std::uint64_t events = 0;
   // LINT: deferred-capture-ok(default) -- the watcher only fires inside the
-  // publish loop below; the store and the counter die with this frame together
+  // write loop below; the store and the counter die with this frame together
   store.Watch("/registry/nodes/", [&](const kb::WatchEvent&) { ++events; });
-  mirto::PrivacySecurityManager psm;
   std::uint64_t i = 0;
   for (auto _ : state) {
-    psm.RecordOutcome(ids[i % kNodes], (i / kNodes) % 2 == 1, i);
-    psm.PublishTrust(registry);
+    kb::NodeRecord& record = records[i % kNodes];
+    record.cpu_allocated = static_cast<double>(i % 8);
+    record.mem_allocated_mb = i % 4096;
+    record.energy_mj = util::MilliJoules(static_cast<double>(i));
+    record.trust = {.value = 0.7, .healing = (i / kNodes) % 2 == 1,
+                    .iteration = i};
+    registry.PutNode(record);
     ++i;
   }
   benchmark::DoNotOptimize(events);
   state.counters["events"] = static_cast<double>(events);
 }
-BENCHMARK(BM_RegistryPublishTrust);
+BENCHMARK(BM_RegistryPutNode);
 
 void PrintFailoverTable(bench::Report& report) {
   std::printf("=== A2b: leader failover downtime (5 replicas, 2ms links) ===\n");

@@ -1,9 +1,9 @@
 // Event-driven fleet observation: fans the per-node change hooks out to any
 // number of listeners (one per MAPE agent observing the infrastructure), each
-// with its own dirty bitmap, and maintains the fleet's cumulative active
-// energy incrementally from the same events. Observers drain their bitmap
-// once per iteration and visit only the nodes that actually mutated since
-// their last drain — the watch-stream alternative to walking every node.
+// with its own dirty bitmap. Observers drain their bitmap once per iteration
+// and visit only the nodes that actually mutated since their last drain — the
+// watch-stream alternative to walking every node. The tracker holds no node
+// facts of its own: energy and every other counter stay on the node.
 //
 // The tracker is heap-allocated and owned by the Infrastructure through a
 // shared_ptr so that node hooks (which capture the tracker pointer) survive
@@ -31,10 +31,6 @@ class ChangeTracker {
   /// (a new observer has seen nothing yet). Listener ids are never reused.
   int AddListener(const NodeList& nodes);
 
-  /// Deactivates a listener: its bitmap is released and mutation events stop
-  /// fanning out to it. The id stays retired forever (never reused).
-  void RemoveListener(int listener);
-
   /// Appends the indices of nodes dirty for `listener` (ascending — node
   /// insertion order, matching a full walk) and clears its bitmap. Newly
   /// appended nodes are attached and reported dirty here.
@@ -46,28 +42,16 @@ class ChangeTracker {
   void MarkDirtyById(const NodeList& nodes, const std::string& node_id,
                      int listener);
 
-  /// Fleet cumulative task energy, maintained incrementally from the
-  /// completion-event deltas: sum of each node's counter at attach time plus
-  /// every delta since. Matches summing ComputeNode::total_energy() over the
-  /// fleet up to float re-association.
-  util::MilliJoules TotalEnergy(const NodeList& nodes);
-
-  [[nodiscard]] std::size_t tracked_nodes() const { return synced_; }
-
  private:
   /// Attaches hooks to nodes [synced_, nodes.size()), marking them dirty for
-  /// every listener and folding their energy counters into the base.
+  /// every listener.
   void Sync(const NodeList& nodes);
-  void OnChange(std::size_t index, util::MilliJoules energy_delta);
-
-  struct Listener {
-    std::vector<std::uint64_t> dirty;  // bitmap over node indices
-    bool active = true;
-  };
+  /// Marks node `index` dirty for every listener.
+  void OnChange(std::size_t index);
 
   std::size_t synced_ = 0;
-  util::MilliJoules energy_;
-  std::vector<Listener> listeners_;
+  // Per listener id: its dirty bitmap over node indices.
+  std::vector<std::vector<std::uint64_t>> dirty_;
   std::unordered_map<std::string, std::size_t> id_to_index_;
 };
 

@@ -118,7 +118,7 @@ void ComputeNode::Submit(const TaskDemand& demand, std::size_t device_index,
     --queue_depth_[device_index];
     ++tasks_completed_;
     total_energy_ += est.energy_mj;
-    MarkChanged(est.energy_mj);
+    MarkChanged();
     if (done) {
       TaskReport report;
       report.node_id = id_;

@@ -48,8 +48,8 @@ class ComputeNode {
   [[nodiscard]] std::uint64_t mem_allocated_mb() const { return mem_allocated_mb_; }
   [[nodiscard]] const std::vector<Device>& devices() const { return devices_; }
   /// Switches device `device`'s operating point (capacity / power). On
-  /// success it refreshes the cached CpuCapacity() and bumps the change
-  /// epoch, so observers re-sample the node.
+  /// success it refreshes the cached CpuCapacity() and calls the change
+  /// hook, so observers re-sample the node.
   util::Status SetOperatingPoint(std::size_t device, std::size_t point);
 
   /// Total abstract CPU capacity: sum over devices of units * speedup * GHz.
@@ -99,28 +99,25 @@ class ComputeNode {
   void AddPlacementWatcher(std::weak_ptr<PlacementWatcher> watcher,
                            std::uint32_t slot);
 
-  /// --- Change-epoch observation ----------------------------------------
-  /// Monotonic counter bumped on every observable mutation: up/down flips,
-  /// memory allocation, task submission/completion (queue depth, busy time,
-  /// energy), device registration and operating-point changes. Observers
-  /// (MAPE Monitor) compare epochs to skip unchanged nodes instead of
-  /// re-sampling the whole fleet.
-  [[nodiscard]] std::uint64_t change_epoch() const { return change_epoch_; }
-  /// Single listener, fanned out by continuum::ChangeTracker. `energy_delta`
-  /// is nonzero only for task-completion energy accrual, letting the tracker
-  /// maintain the fleet energy total incrementally.
-  using ChangeHook = std::function<void(util::MilliJoules energy_delta)>;
+  /// --- Change hook ------------------------------------------------------
+  /// Called on every observable mutation: up/down flips, memory allocation,
+  /// task submission/completion (queue depth, busy time, energy), device
+  /// registration and operating-point changes. Single listener, fanned out
+  /// by continuum::ChangeTracker, so observers (MAPE Monitor) visit only the
+  /// nodes that changed instead of re-sampling the whole fleet.
+  using ChangeHook = std::function<void()>;
   void SetChangeHook(ChangeHook hook) { change_hook_ = std::move(hook); }
-  /// Bumps the epoch and notifies the hook. Public so ledgers living outside
-  /// the node (scheduler allocation columns, peering reflections) can mark
-  /// their node dirty through the same channel.
-  void MarkChanged(util::MilliJoules energy_delta = util::MilliJoules()) {
-    ++change_epoch_;
-    if (change_hook_) change_hook_(energy_delta);
+  /// Notifies the hook. Public so ledgers living outside the node (scheduler
+  /// allocation columns, peering reflections) can mark their node dirty
+  /// through the same channel.
+  void MarkChanged() {
+    if (change_hook_) change_hook_();
   }
 
   /// --- PMC-style counters ----------------------------------------------
   [[nodiscard]] std::uint64_t tasks_completed() const { return tasks_completed_; }
+  /// Cumulative active energy of completed tasks: the fleet's only energy
+  /// total (a fleet figure is the sum over nodes).
   [[nodiscard]] util::MilliJoules total_energy() const {
     return total_energy_;
   }
@@ -164,7 +161,6 @@ class ComputeNode {
 
   std::uint64_t tasks_completed_ = 0;
   util::MilliJoules total_energy_;
-  std::uint64_t change_epoch_ = 0;
   ChangeHook change_hook_;
   std::vector<std::pair<std::weak_ptr<PlacementWatcher>, std::uint32_t>>
       placement_watchers_;

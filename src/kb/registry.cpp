@@ -99,19 +99,6 @@ void ResourceRegistry::PutNode(const NodeRecord& record,
   }
 }
 
-bool ResourceRegistry::PutTrust(const std::string& node_id,
-                                const TrustState& trust,
-                                std::int64_t skip_watch) {
-  const auto set_trust = [&trust](util::Json& stored) {
-    auto record = NodeRecord::FromJson(stored);
-    if (!record.ok()) return false;
-    record->trust = trust;
-    stored = record->ToJson();
-    return true;
-  };
-  return store_.Update(NodeKey(node_id), set_trust, skip_watch).has_value();
-}
-
 util::StatusOr<NodeRecord> ResourceRegistry::GetNode(
     const std::string& node_id) const {
   auto kv = store_.Get(NodeKey(node_id));

@@ -89,11 +89,6 @@ class ResourceRegistry {
   /// Node writes leave watch `skip_watch` (0 = none) out of their commits,
   /// for a writer that watches the node records itself.
   void PutNode(const NodeRecord& record, std::int64_t skip_watch = 0);
-  /// Sets one registered node's trust state, keeping its lease; the stored
-  /// bytes equal a GetNode → set trust → PutNode round trip. False (nothing
-  /// written) when the node has no parseable record.
-  bool PutTrust(const std::string& node_id, const TrustState& trust,
-                std::int64_t skip_watch = 0);
   [[nodiscard]] util::StatusOr<NodeRecord> GetNode(const std::string& node_id) const;
   /// All registered nodes (optionally restricted to one layer).
   [[nodiscard]] std::vector<NodeRecord> ListNodes(const std::string& layer = "") const;

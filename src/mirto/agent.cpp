@@ -95,10 +95,9 @@ MirtoAgent::MirtoAgent(net::Network& network, sched::Cluster& cluster,
         pending_pods_.erase(it);
       },
       [this](const std::string& pod_name) { UntrackPod(pod_name); }});
-  for (const telemetry::SloObjective& objective : config_.slo_objectives) {
-    // LINT: discard(the defaults are valid by construction; a caller-supplied
-    // bad objective degrades to "not tracked" rather than aborting the agent)
-    (void)slo_.AddObjective(objective);
+  for (const telemetry::SloObjective& objective : DefaultAgentSlos()) {
+    util::MustOk(slo_.AddObjective(objective));
+    slo_published_[objective.name];  // publish-on-change starts unpublished
     if (objective.name == "pod.start_wait" &&
         objective.kind == telemetry::SloObjective::Kind::kLatency) {
       pending_threshold_ns_ = static_cast<std::int64_t>(
@@ -193,10 +192,8 @@ util::Status MirtoAgent::Deploy(const tosca::CsarPackage& package) {
   // plan (WL Manager) — the §VI interaction pattern.
   std::vector<std::string> node_ids;
   for (const auto& node : infra_.nodes) node_ids.push_back(node->id());
-  const std::string anchor = config_.gateway_anchor.empty()
-                                 ? infra_.DefaultGateway()
-                                 : config_.gateway_anchor;
-  const auto latency_costs = netmgr_.LatencyCostMs(anchor, node_ids);
+  const auto latency_costs =
+      netmgr_.LatencyCostMs(infra_.DefaultGateway(), node_ids);
   auto directives = wl_.PlanPlacement(*pods, latency_costs, psm_.VetoedNodes());
   if (!directives.ok()) {
     ++stats_.deployments_rejected;
@@ -291,23 +288,11 @@ void MirtoAgent::RunMapeIteration() {
 void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
   continuum::ComputeNode& node = *infra_.nodes[index];
   ++stats_.nodes_observed;
-  kb::NodeRecord record;
-  record.node_id = node.id();
-  record.layer = std::string(continuum::LayerName(node.layer()));
-  record.kind = node.kind();
-  record.ready = node.up();
-  record.cpu_capacity = node.CpuCapacity();
-  record.mem_capacity_mb = node.mem_capacity_mb();
-  record.mem_allocated_mb = node.mem_allocated_mb();
-  record.security_level = static_cast<int>(node.security_level());
-  record.trust = psm_.StateOf(trust_slots_[index]);
-  if (const sched::NodeState* state = cluster_.FindNodeState(node.id())) {
-    record.cpu_allocated = state->cpu_allocated();
-    record.has_accelerator = state->HasAccelerator();
-    cluster_slots_[index] = static_cast<std::int32_t>(state->slot());
+  if (cluster_slots_[index] < 0) {  // a cluster never drops a node
+    if (const sched::NodeState* state = cluster_.FindNodeState(node.id())) {
+      cluster_slots_[index] = static_cast<std::int32_t>(state->slot());
+    }
   }
-  record.energy_mj = node.total_energy();
-  registry_.PutNode(record, registry_watch_);
   if (!node.devices().empty()) {
     registry_.AppendTelemetry(node.id(), "utilization",
                               {now_ns, node.Utilization(0)});
@@ -316,7 +301,7 @@ void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
                             {now_ns, static_cast<double>(node.QueueDepth())});
   // Cached availability + Analyze attention sets. observed_up_ holds the
   // last observed state (0 unseen / 1 down / 2 up); unchanged nodes cannot
-  // have flipped without marking themselves dirty (SetUp bumps the epoch).
+  // have flipped without marking themselves dirty (SetUp calls the hook).
   const bool up = node.up();
   const std::uint8_t state_now = up ? 2 : 1;
   if (observed_up_[index] != state_now) {
@@ -331,6 +316,27 @@ void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
     down_nodes_.insert(index);
     healing_nodes_.erase(index);
   }
+}
+
+void MirtoAgent::PutNodeRecord(std::size_t index) {
+  const continuum::ComputeNode& node = *infra_.nodes[index];
+  kb::NodeRecord record;
+  record.node_id = node.id();
+  record.layer = std::string(continuum::LayerName(node.layer()));
+  record.kind = node.kind();
+  record.ready = node.up();
+  record.cpu_capacity = node.CpuCapacity();
+  record.mem_capacity_mb = node.mem_capacity_mb();
+  record.mem_allocated_mb = node.mem_allocated_mb();
+  record.security_level = static_cast<int>(node.security_level());
+  record.trust = psm_.StateOf(trust_slots_[index]);
+  if (const std::int32_t slot = cluster_slots_[index]; slot >= 0) {
+    const auto at = static_cast<std::uint32_t>(slot);
+    record.cpu_allocated = cluster_.index().cpu_allocated(at);
+    record.has_accelerator = cluster_.index().has_accelerator(at);
+  }
+  record.energy_mj = node.total_energy();
+  registry_.PutNode(record, registry_watch_);
 }
 
 void MirtoAgent::Monitor() {
@@ -413,6 +419,14 @@ void MirtoAgent::Analyze() {
       it = healing_nodes_.erase(it);
     }
   }
+  // Each observed node's record is written once, here, so it carries this
+  // iteration's TrustState. No other record can be stale: a trust transition
+  // happens only in an iteration that observes its node. A first failure
+  // follows the observation that put the node in down_nodes_ (going down
+  // marked it dirty), and a first success after failing follows the one
+  // that put it in healing_nodes_ (coming back up marked it dirty); every
+  // later outcome of either set continues the same transition.
+  for (const std::size_t index : iter_dirty_) PutNodeRecord(index);
   if (cluster_.PendingPods() > 0) reallocation_needed_ = true;
   EvaluateAndPublishSlos(span, network_.engine().Now().ns);
 }
@@ -436,10 +450,9 @@ void MirtoAgent::EvaluateAndPublishSlos(telemetry::ScopedSpan& span,
   // Verdicts are re-published only on a state/breach-count transition or
   // when a burn rate crosses a quantum bucket — steady state costs zero KB
   // writes instead of one serialized record per objective per iteration.
-  for (const telemetry::SloObjective& objective : config_.slo_objectives) {
-    const telemetry::SloStatus* s = slo_.Find(objective.name);
+  for (auto& [name, last] : slo_published_) {
+    const telemetry::SloStatus* s = slo_.Find(name);
     if (s == nullptr) continue;
-    SloPublished& last = slo_published_[objective.name];
     SloPublished next;
     next.valid = true;
     next.state = s->state;
@@ -456,7 +469,7 @@ void MirtoAgent::EvaluateAndPublishSlos(telemetry::ScopedSpan& span,
     last = next;
     ++stats_.slo_publishes;
     registry_.PutSloState(
-        config_.host, objective.name,
+        config_.host, name,
         util::Json::MakeObject()
             .Set("state", std::string(telemetry::SloStateName(s->state)))
             .Set("fast_burn_rate", s->fast_burn_rate)
@@ -541,7 +554,6 @@ void MirtoAgent::Execute() {
     cluster_.Reconcile();
     stats_.reallocations += cluster_.reschedules() - before;
   }
-  psm_.PublishTrust(registry_, registry_watch_);
 }
 
 }  // namespace myrtus::mirto

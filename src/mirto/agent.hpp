@@ -7,8 +7,9 @@
 //
 // The loop is event-driven: Monitor drains the infrastructure ChangeTracker
 // and visits only nodes that mutated since the previous iteration, Analyze
-// touches only down/healing nodes, and Plan only dirty nodes plus those whose
-// decaying utilization is predicted to cross the eco-point threshold. Its
+// touches only down/healing nodes and then writes each visited node's
+// registry record once, and Plan only dirty nodes plus those whose decaying
+// utilization is predicted to cross the eco-point threshold. Its
 // outcomes (registry records, SLO states and verdicts, trust scores, planned
 // decisions) are held equal to a full-walk reference that recomputes them
 // from public state; that reference is test code (tests/oracle/).
@@ -52,9 +53,12 @@ class AuthModule {
   util::Bytes secret_;
 };
 
-/// The objectives every agent self-monitors by default: fleet availability
-/// (fraction of continuum nodes up) and pod start wait (time from deployment
-/// request to binding). Both use the sim-scale burn-rate windows.
+/// The objectives every agent self-monitors: fleet availability (fraction of
+/// continuum nodes up) and pod start wait (time from deployment request to
+/// binding). Both use the sim-scale burn-rate windows. Each Analyze pass
+/// evaluates them; a breach marks the fleet dirty (reallocation) and is
+/// written back to the KB under /slo/<host>/<objective> — the loop observing
+/// itself.
 std::vector<telemetry::SloObjective> DefaultAgentSlos();
 
 /// SLO verdicts are re-published to the KB only when the state or breach
@@ -65,12 +69,7 @@ struct AgentConfig {
   std::string host;                 // network address of this agent
   sim::SimTime mape_period = sim::SimTime::Millis(250);
   PlacementStrategy strategy = PlacementStrategy::kGreedy;
-  std::string gateway_anchor;       // host used for latency costs
   std::uint64_t seed = 1;
-  /// Self-monitoring objectives evaluated each Analyze pass. A breach marks
-  /// the fleet dirty (reallocation) and is written back to the KB under
-  /// /slo/<host>/<objective> — the loop observing itself.
-  std::vector<telemetry::SloObjective> slo_objectives = DefaultAgentSlos();
 };
 
 /// Counters the Fig-3 bench reads out.
@@ -139,9 +138,11 @@ class MirtoAgent {
   void Plan();      // consult managers
   void Execute();   // apply decisions
 
-  /// Writes one node's registry record + telemetry and refreshes the cached
-  /// up/down, healing, and availability bookkeeping for it.
+  /// Appends one node's telemetry and refreshes the cached up/down, healing,
+  /// availability and cluster-slot bookkeeping for it.
   void ObserveNode(std::size_t index, std::int64_t now_ns);
+  /// Writes one observed node's registry record, trust included.
+  void PutNodeRecord(std::size_t index);
   void EvaluateAndPublishSlos(telemetry::ScopedSpan& span,
                               std::int64_t now_ns);
   /// Predicts when a device's (strictly decaying, absent new work)
@@ -223,7 +224,7 @@ class MirtoAgent {
   std::map<std::string, double> bound_waits_;
   std::int64_t pending_threshold_ns_ = 0;
 
-  /// --- SLO publish-on-change cache ----------------------------------------
+  /// --- SLO publish-on-change cache, one entry per DefaultAgentSlos() ------
   struct SloPublished {
     bool valid = false;
     telemetry::SloState state = telemetry::SloState::kOk;

@@ -1,7 +1,5 @@
 #include "mirto/engine.hpp"
 
-#include <cassert>
-#include <cmath>
 #include <limits>
 
 #include "net/retry.hpp"
@@ -59,7 +57,6 @@ MirtoEngine::MirtoEngine(net::Network& network,
     agent_config.mape_period = config_.mape_period;
     agent_config.strategy = config_.strategy;
     agent_config.seed = config_.seed + Index(layer);
-    agent_config.gateway_anchor = infra_.DefaultGateway();
     slice.agent = std::make_unique<MirtoAgent>(
         network_, *slice.cluster, infra_, *slice.store,
         AuthModule(util::BytesOf(config_.auth_secret)), agent_config);
@@ -149,16 +146,8 @@ std::size_t MirtoEngine::TotalRunningPods() {
 }
 
 double MirtoEngine::TotalEnergyMj() const {
-  // Maintained incrementally by the ChangeTracker from per-task completion
-  // deltas — O(1) instead of a fleet walk per call.
-  const double total =
-      infra_.change_tracker().TotalEnergy(infra_.nodes).value();
-#ifndef NDEBUG
-  double walk = 0.0;
-  for (const auto& node : infra_.nodes) walk += node->total_energy_mj();
-  assert(std::fabs(total - walk) <=
-         1e-6 * std::max(1.0, std::fabs(walk)));
-#endif
+  double total = 0.0;
+  for (const auto& node : infra_.nodes) total += node->total_energy_mj();
   return total;
 }
 

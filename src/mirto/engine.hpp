@@ -58,7 +58,8 @@ class MirtoEngine {
 
   /// Total running pods across all layer clusters.
   [[nodiscard]] std::size_t TotalRunningPods();
-  /// Total energy drawn across the infrastructure (mJ, active only).
+  /// Total energy drawn across the infrastructure (mJ, active only): the sum
+  /// of every node's total_energy(), walked per call.
   [[nodiscard]] double TotalEnergyMj() const;
 
  private:

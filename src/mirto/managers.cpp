@@ -193,7 +193,7 @@ PrivacySecurityManager::PrivacySecurityManager(double veto_threshold)
 TrustSlot PrivacySecurityManager::Slot(const std::string& node_id) {
   const auto [it, inserted] = slot_of_.try_emplace(
       node_id, static_cast<TrustSlot>(entries_.size()));
-  if (inserted) entries_.push_back(TrustEntry{node_id});
+  if (inserted) entries_.emplace_back();
   return it->second;
 }
 
@@ -206,10 +206,6 @@ bool PrivacySecurityManager::RecordOutcome(TrustSlot slot, bool success,
   const double updated = kb::TrustStep(entry.trust, success);
   if (success != entry.state.healing) {
     entry.state = {updated, success, iteration};
-    if (!entry.pending) {
-      entry.pending = true;
-      pending_.push_back(slot);
-    }
   }
   if (updated == entry.trust) return false;
   entry.trust = updated;
@@ -233,20 +229,6 @@ bool PrivacySecurityManager::Permits(const sched::PodSpec& pod,
                                      const continuum::ComputeNode& node) const {
   return security::Satisfies(node.security_level(), pod.min_security) &&
          TrustOf(node.id()) >= veto_threshold_;
-}
-
-void PrivacySecurityManager::PublishTrust(kb::ResourceRegistry& registry,
-                                          std::int64_t skip_watch) {
-  std::size_t kept = 0;
-  for (const TrustSlot slot : pending_) {
-    TrustEntry& entry = entries_[slot];
-    if (registry.PutTrust(entry.node_id, entry.state, skip_watch)) {
-      entry.pending = false;
-    } else {
-      pending_[kept++] = slot;
-    }
-  }
-  pending_.resize(kept);
 }
 
 }  // namespace myrtus::mirto

@@ -135,8 +135,8 @@ class PrivacySecurityManager {
   /// Records MAPE iteration `iteration`'s outcome on a node (kb::TrustStep):
   /// failures decay trust, successes recover it. The first failure after
   /// successes, and the first success after failures, is a transition: it
-  /// becomes the node's TrustState and is queued for PublishTrust. Returns
-  /// whether the node's trust changed.
+  /// becomes the node's TrustState (StateOf), which the node's next registry
+  /// record carries. Returns whether the node's trust changed.
   bool RecordOutcome(TrustSlot slot, bool success, std::uint64_t iteration);
   bool RecordOutcome(const std::string& node_id, bool success,
                      std::uint64_t iteration) {
@@ -157,25 +157,15 @@ class PrivacySecurityManager {
   /// trusted.
   [[nodiscard]] bool Permits(const sched::PodSpec& pod,
                              const continuum::ComputeNode& node) const;
-  /// Writes each queued transition into its node's registry record, in the
-  /// order they happened. Nodes without a registry record yet stay queued
-  /// for the next call. `skip_watch` is the caller's own registry watch,
-  /// left out of these writes' notifications (0 = none).
-  void PublishTrust(kb::ResourceRegistry& registry,
-                    std::int64_t skip_watch = 0);
 
  private:
   struct TrustEntry {
-    std::string node_id;
     double trust = 1.0;
     kb::TrustState state{};
-    bool pending = false;  // transitioned since the last publish
   };
   double veto_threshold_;
   std::vector<TrustEntry> entries_;           // indexed by TrustSlot
   std::map<std::string, TrustSlot> slot_of_;  // node id -> slot, id order
-  // The slots with `pending` set, in transition order.
-  std::vector<TrustSlot> pending_;
 };
 
 }  // namespace myrtus::mirto

@@ -52,7 +52,7 @@ void Cluster::Cordon(const std::string& node_id, bool cordoned) {
   if (NodeState* n = index_.Find(node_id)) {
     index_.SetCordoned(n->slot(), cordoned);
     // Scheduler-visible state changed without touching the ComputeNode:
-    // bump its epoch so event-driven monitors re-observe it.
+    // call its change hook so event-driven monitors re-observe it.
     n->node->MarkChanged();
   }
 }

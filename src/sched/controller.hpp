@@ -10,7 +10,7 @@
 // ledger and the ComputeNode memory ledger equal by construction. Reconcile
 // is incremental: it walks dirty sets (unbound pods, down nodes' pod rosters)
 // instead of the whole pod table, and the pending-pod batch is admitted
-// through one cached candidate-set build. Bind/delete events fan out to
+// through one ranked-class build. Bind/delete events fan out to
 // registered listeners so MAPE monitors can track pod lifecycle without
 // sweeping the table.
 #pragma once

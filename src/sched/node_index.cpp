@@ -182,7 +182,7 @@ NodeState& NodeIndex::Add(continuum::ComputeNode* node,
 
   change_log_->SetFleet(bits);
   node->AddPlacementWatcher(change_log_, slot);
-  InvalidateCandidates();
+  DropRankedClasses();
   return state;
 }
 
@@ -245,7 +245,7 @@ void NodeIndex::SetCordoned(std::uint32_t slot, bool cordoned) {
   } else {
     not_cordoned_.Set(slot);
   }
-  InvalidateCandidates();
+  DropRankedClasses();
 }
 
 void NodeIndex::SetLabel(std::uint32_t slot, const std::string& key,
@@ -263,21 +263,10 @@ void NodeIndex::SetLabel(std::uint32_t slot, const std::string& key,
   Bitmap& bitmap = by_label_[LabelKey(key, value)];
   bitmap.Resize(arena_.size());
   bitmap.Set(slot);
-  InvalidateCandidates();
+  DropRankedClasses();
 }
 
-const Bitmap& NodeIndex::Candidates(const CandidateQuery& q) const {
-  return CandidatesFor(q.CacheKey(), q);
-}
-
-const Bitmap& NodeIndex::CandidatesFor(const std::string& key,
-                                       const CandidateQuery& q) const {
-  if (const auto it = candidate_cache_.find(key);
-      it != candidate_cache_.end()) {
-    ++stats_.cache_hits;
-    return it->second;
-  }
-  ++stats_.cache_misses;
+Bitmap NodeIndex::Candidates(const CandidateQuery& q) const {
   Bitmap out = all_;
   if (q.restrict_cordoned) out.AndWith(not_cordoned_);
   if (q.restrict_security) {
@@ -303,7 +292,7 @@ const Bitmap& NodeIndex::CandidatesFor(const std::string& key,
       }
     }
   }
-  return candidate_cache_.emplace(key, std::move(out)).first->second;
+  return out;
 }
 
 RankedCandidates& NodeIndex::Ranked(const CandidateQuery& q,
@@ -352,7 +341,7 @@ RankedCandidates& NodeIndex::Ranked(const CandidateQuery& q,
     ranked->mem_request_mb_ = mem_request_mb;
     ranked->query_key_ = key;
     ranked->slots_.clear();
-    CandidatesFor(key, q).ForEachSet([&](std::size_t slot) {
+    Candidates(q).ForEachSet([&](std::size_t slot) {
       ranked->slots_.push_back(static_cast<std::uint32_t>(slot));
     });
     Rescore(*ranked);
@@ -383,15 +372,11 @@ void NodeIndex::Rescore(RankedCandidates& ranked) const {
   ranked.tree_.Rebuild();
 }
 
-void NodeIndex::InvalidateCandidates() {
+void NodeIndex::DropRankedClasses() {
   // Structural changes move candidate sets, so the ranked classes built on
   // them go too, and the log that fed them.
   ranked_.clear();
   change_log_->Clear();
-  if (!candidate_cache_.empty()) {
-    candidate_cache_.clear();
-    ++stats_.invalidations;
-  }
 }
 
 }  // namespace myrtus::sched

@@ -6,16 +6,16 @@
 //
 // NodeState is a *handle* into the arena: all ledger reads and writes go
 // through the owning NodeIndex, so there is exactly one accounting path and
-// the bitmaps can never drift from the data they index. Structural mutations
-// (labels, cordon, new nodes) invalidate the cached candidate bitmaps;
-// allocation changes do not, which is what lets a reconcile pass admit a
-// whole batch of pending pods through one candidate-set build.
+// the bitmaps can never drift from the data they index.
 //
 // On top of the candidate sets the index keeps a bounded cache of ranked
-// classes: per pod shape (requests plus query), a tournament tree over the
-// candidates keyed by score. Every change to a score input appends its slot
-// to one change log, and a class replays the log before it is read, so a
-// placement costs O(changed slots * log n) rather than O(candidates).
+// classes: per pod shape (requests plus query), the query's candidate slots
+// and a tournament tree over them keyed by score. Every change to a score
+// input appends its slot to one change log, and a class replays the log
+// before it is read, so a placement costs O(changed slots * log n) rather
+// than O(candidates). Structural mutations (labels, cordon, new nodes) drop
+// the classes; allocation changes do not, which is what lets a reconcile
+// pass admit a whole batch of pending pods through one candidate-set build.
 #pragma once
 
 #include <algorithm>
@@ -226,21 +226,20 @@ class NodeIndex {
   [[nodiscard]] double Score(std::uint32_t slot, double cpu_request,
                              std::uint64_t mem_request_mb) const;
 
-  /// --- Allocation ledger (non-structural: candidate cache survives) ------
+  /// --- Allocation ledger (non-structural: ranked classes survive) --------
   void AddAllocation(std::uint32_t slot, double cpu, std::uint64_t mem_mb);
   void SubAllocation(std::uint32_t slot, double cpu, std::uint64_t mem_mb);
   void SetCpuAllocation(std::uint32_t slot, double cpu);
   void SetMemAllocation(std::uint32_t slot, std::uint64_t mem_mb);
 
-  /// --- Structural mutators (invalidate the candidate cache) --------------
+  /// --- Structural mutators (drop the ranked classes) ---------------------
   void SetCordoned(std::uint32_t slot, bool cordoned);
   void SetLabel(std::uint32_t slot, const std::string& key,
                 const std::string& value);
 
   /// Slots passing every structural restriction in `q`, as an intersection
-  /// of the inverted-index bitmaps. Cached per query shape until the next
-  /// structural mutation; the returned reference is valid until then.
-  [[nodiscard]] const Bitmap& Candidates(const CandidateQuery& q) const;
+  /// of the inverted-index bitmaps. A ranked class keeps its own copy.
+  [[nodiscard]] Bitmap Candidates(const CandidateQuery& q) const;
 
   /// `q`'s candidates ranked for a pod requesting `cpu_request` and
   /// `mem_request_mb`, synced with every score-input change since it was
@@ -251,9 +250,6 @@ class NodeIndex {
                                          std::uint64_t mem_request_mb) const;
 
   struct Stats {
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    std::uint64_t invalidations = 0;
     std::uint64_t rank_hits = 0;    // Ranked() found its class
     std::uint64_t rank_builds = 0;  // Ranked() scored a class from scratch
   };
@@ -266,12 +262,10 @@ class NodeIndex {
  private:
   class ChangeLog;
 
-  const Bitmap& CandidatesFor(const std::string& key,
-                              const CandidateQuery& q) const;
   /// A slot's key in `ranked`: its score for that pod shape, or absent.
   double RankKey(const RankedCandidates& ranked, std::uint32_t slot) const;
   void Rescore(RankedCandidates& ranked) const;
-  void InvalidateCandidates();
+  void DropRankedClasses();
 
   // Handles; deque keeps them pointer-stable as the fleet grows.
   std::deque<NodeState> arena_;
@@ -296,7 +290,6 @@ class NodeIndex {
   std::map<std::string, Bitmap> by_layer_;              // by LayerName
   std::map<std::string, Bitmap> by_label_;              // "key\x1fvalue"
 
-  mutable std::map<std::string, Bitmap> candidate_cache_;
   // Ranked classes, and the slots whose score inputs changed since the
   // oldest of them was synced. The nodes hold the log weakly and append to
   // it on liveness and capacity changes.

@@ -98,17 +98,16 @@ TEST(Heartbeat, ReRegistrationDoesNotLeakOldLease) {
   EXPECT_EQ(f.store.lease_count(), 1u);
 }
 
-// Regression: a registry write (the agent's ObserveNode and PublishTrust's
-// trust transition both do one) replaced the record with lease_id 0, detaching it from its
-// heartbeat lease, so a crashed component's record never expired.
+// Regression: a registry write (the agent's one record write per observed
+// node) replaced the record with lease_id 0, detaching it from its heartbeat
+// lease, so a crashed component's record never expired.
 TEST(Heartbeat, RegistryWritesKeepTheRecordLeased) {
   Fixture f;
   f.heartbeats.Register(Edge("edge-0"));
   NodeRecord status = Edge("edge-0");
   status.cpu_allocated = 1.5;
+  status.trust = {.value = 0.7, .healing = false, .iteration = 1};
   f.registry.PutNode(status);
-  ASSERT_TRUE(f.registry.PutTrust(
-      "edge-0", {.value = 0.7, .healing = false, .iteration = 1}));
   f.engine.RunUntil(SimTime::Seconds(2));
   ASSERT_TRUE(f.registry.GetNode("edge-0").ok()) << "renewals still apply";
   f.heartbeats.StopBeating("edge-0");

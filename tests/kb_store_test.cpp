@@ -6,7 +6,6 @@
 
 #include "kb/registry.hpp"
 #include "kb/store.hpp"
-#include "mirto/managers.hpp"
 
 namespace myrtus::kb {
 namespace {
@@ -386,26 +385,16 @@ TEST(Registry, NodeWritesKeepTheKeysLease) {
   const std::int64_t lease = store.GrantLease(1000);
   store.Put(ResourceRegistry::NodeKey("e0"), r.ToJson(), lease);
   r.cpu_allocated = 2.0;
+  r.trust = {.value = 0.5, .healing = false};
   reg.PutNode(r);
-  EXPECT_TRUE(reg.PutTrust("e0", {.value = 0.5, .healing = false}));
   EXPECT_EQ(store.Get(ResourceRegistry::NodeKey("e0"))->lease_id, lease);
 }
 
-TEST(Registry, PutTrustOnUnknownOrGarbageRecordWritesNothing) {
-  Store store;
-  ResourceRegistry reg(store);
-  const TrustState failed{.value = 0.5, .healing = false};
-  EXPECT_FALSE(reg.PutTrust("ghost", failed));
-  store.Put(ResourceRegistry::NodeKey("junk"), util::Json(3));
-  EXPECT_FALSE(reg.PutTrust("junk", failed));
-  EXPECT_EQ(store.revision(), 1);
-  EXPECT_FALSE(store.Get(ResourceRegistry::NodeKey("ghost")).ok());
-}
-
-// The bytes PublishTrust leaves behind equal the GetNode → set trust →
-// PutNode round trip, for a record in ToJson's shape and for one that needs
-// normalizing (an extra field, an int where ToJson writes a double).
-TEST(Registry, PublishTrustBytesEqualTheRecordRoundTrip) {
+// A GetNode → set trust → PutNode round trip stores exactly the record's
+// ToJson bytes, and reads back as that record, for a stored record in
+// ToJson's shape and for one that needs normalizing (an extra field, an int
+// where ToJson writes a double).
+TEST(Registry, PutNodeBytesEqualTheRecordRoundTrip) {
   NodeRecord canonical;
   canonical.node_id = "e0";
   canonical.layer = "edge";
@@ -429,16 +418,17 @@ TEST(Registry, PublishTrustBytesEqualTheRecordRoundTrip) {
     Store store;
     ResourceRegistry reg(store);
     store.Put(ResourceRegistry::NodeKey(id), stored);
-    auto expected = NodeRecord::FromJson(stored);
-    ASSERT_TRUE(expected.ok());
-    mirto::PrivacySecurityManager psm;
-    psm.RecordOutcome(id, false, 9);
-    expected->trust = {.value = 0.7, .healing = false, .iteration = 9};
-    psm.PublishTrust(reg);
+    auto record = reg.GetNode(id);
+    ASSERT_TRUE(record.ok());
+    record->trust = {.value = 0.7, .healing = false, .iteration = 9};
+    reg.PutNode(*record);
     auto kv = store.Get(ResourceRegistry::NodeKey(id));
     ASSERT_TRUE(kv.ok());
-    EXPECT_EQ(kv->value.Dump(), expected->ToJson().Dump()) << id;
+    EXPECT_EQ(kv->value.Dump(), record->ToJson().Dump()) << id;
     EXPECT_EQ(kv->version, 2) << id;
+    auto back = reg.GetNode(id);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->ToJson().Dump(), record->ToJson().Dump()) << id;
   }
 }
 

@@ -4,7 +4,9 @@
 
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "dpe/pipeline.hpp"
 #include "mirto/agent.hpp"
@@ -207,10 +209,11 @@ TEST(MirtoAgent, HealingSetDrainsOnceTrustStopsMoving) {
 // record reads, through kb::TrustAt, exactly the agent's in-memory trust, and
 // a watcher other than the agent's own sees the trust fields change once per
 // transition: a node's first failure after being up, and its first success
-// after failing. Every other record write is a Monitor observation, so trust
-// is written at transitions and nowhere else. A few nodes flap; one seed in 20 also keeps a node down
-// until its decay reaches the fixed point (over 2,100 iterations) and then
-// lets it heal until the success update stalls.
+// after failing. Every record write is a Monitor observation, so trust rides
+// the one write per observed node and is never written on its own. A few
+// nodes flap; one seed in 20 also keeps a node down until its decay reaches
+// the fixed point (over 2,100 iterations) and then lets it heal until the
+// success update stalls.
 void CheckTrustStateSchedule(std::uint64_t seed) {
   AgentFixture f;
   util::Rng rng(seed, "trust-state-property");
@@ -284,8 +287,8 @@ void CheckTrustStateSchedule(std::uint64_t seed) {
     }
     ASSERT_EQ(trust_writes, transitions)
         << "seed " << seed << ", iteration " << it;
-    // Every other node-record write is one Monitor observation.
-    ASSERT_EQ(puts, f.agent->stats().nodes_observed + transitions)
+    // Every node-record write is one Monitor observation.
+    ASSERT_EQ(puts, f.agent->stats().nodes_observed)
         << "seed " << seed << ", iteration " << it;
     if (long_outage && it + 1 == outage_end) {
       const double trust = psm.TrustOf(f.infra.nodes[long_node]->id());
@@ -422,6 +425,46 @@ TEST(MirtoEngine, NegotiatedDeploymentDistributesAcrossLayers) {
   EXPECT_EQ(mirto.negotiation_stats().awards, 2u);
   EXPECT_EQ(mirto.negotiation_stats().failed_pods, 0u);
   mirto.Stop();
+}
+
+// The fleet's energy is the sum of the node counters, whether a node accrued
+// it before the engine existed or from completions after it was built.
+TEST(MirtoEngine, TotalEnergyCountsEnergyAccruedBeforeTheEngineIsBuilt) {
+  sim::Engine engine;
+  Infrastructure infra = BuildInfrastructure(engine, {});
+  continuum::TaskDemand task;
+  task.cycles = 5'000'000;
+  infra.nodes[1]->Submit(task, [](const continuum::TaskReport&) {});
+  engine.RunUntil(SimTime::Seconds(1));
+  const double accrued = infra.nodes[1]->total_energy_mj();
+  ASSERT_GT(accrued, 0.0);
+  net::Network network(engine, infra.topology, 7);
+  MirtoEngine mirto(network, infra);
+  EXPECT_EQ(mirto.TotalEnergyMj(), accrued);
+}
+
+TEST(MirtoEngine, TotalEnergyTracksTaskCompletions) {
+  sim::Engine engine;
+  Infrastructure infra = BuildInfrastructure(engine, {});
+  net::Network network(engine, infra.topology, 8);
+  MirtoEngine mirto(network, infra);
+  EXPECT_EQ(mirto.TotalEnergyMj(), 0.0);
+  // One task per node; each completion report carries the energy it added.
+  auto reported = std::make_shared<std::vector<double>>(infra.nodes.size());
+  continuum::TaskDemand task;
+  task.cycles = 5'000'000;
+  for (std::size_t i = 0; i < infra.nodes.size(); ++i) {
+    infra.nodes[i]->Submit(task, [reported, i](const continuum::TaskReport& r) {
+      (*reported)[i] = r.energy_mj.value();
+    });
+  }
+  engine.RunUntil(SimTime::Seconds(1));
+  double expected = 0.0;
+  for (const double mj : *reported) {
+    ASSERT_GT(mj, 0.0);
+    expected += mj;
+  }
+  EXPECT_EQ(mirto.TotalEnergyMj(), expected);
 }
 
 TEST(MirtoEngine, AcceleratorPodLandsAtEdge) {

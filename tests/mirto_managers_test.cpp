@@ -218,13 +218,7 @@ TEST(SecurityManager, SlotAndIdAddressTheSameTrust) {
             (std::vector<std::string>{"node-a", "node-c"}));
 
   // A node first seen late gets a working slot, placed in id order among
-  // the vetoes and published like the others.
-  kb::Store store;
-  kb::ResourceRegistry registry(store);
-  for (const char* id : {"node-a", "node-b", "node-c"}) {
-    registry.PutNode({.node_id = id, .layer = "edge"});
-  }
-  psm.PublishTrust(registry);
+  // the vetoes and holding its transition like the others.
   const TrustSlot b = psm.Slot("node-b");
   EXPECT_NE(b, a);
   EXPECT_NE(b, c);
@@ -235,17 +229,15 @@ TEST(SecurityManager, SlotAndIdAddressTheSameTrust) {
   EXPECT_EQ(psm.TrustOf("node-b"), psm.TrustOf(b));
   EXPECT_EQ(psm.VetoedNodes(),
             (std::vector<std::string>{"node-a", "node-b", "node-c"}));
-  psm.PublishTrust(registry);
-  // Each record holds its node's transition, at iteration 1, from which the
-  // record reads the same trust as the manager after iteration 3.
+  // Each node's state is its transition, at iteration 1, from which a
+  // record carrying it reads the same trust as the manager after iteration 3.
   for (const char* id : {"node-a", "node-b", "node-c"}) {
-    const auto record = registry.GetNode(id);
-    ASSERT_TRUE(record.ok()) << id;
-    EXPECT_EQ(record->trust, psm.StateOf(psm.Slot(id))) << id;
-    EXPECT_EQ(record->trust,
+    const kb::NodeRecord record{.node_id = id,
+                                .trust = psm.StateOf(psm.Slot(id))};
+    EXPECT_EQ(record.trust,
               (kb::TrustState{.value = 0.7, .healing = false, .iteration = 1}))
         << id;
-    EXPECT_EQ(kb::TrustAt(*record, 3), psm.TrustOf(id)) << id;
+    EXPECT_EQ(kb::TrustAt(record, 3), psm.TrustOf(id)) << id;
   }
 }
 
@@ -264,54 +256,35 @@ TEST(SecurityManager, PermitsChecksLevelAndTrust) {
   EXPECT_FALSE(psm.Permits(secure, high_node)) << "distrusted node vetoed";
 }
 
-// Only transitions are written: the first failure after successes and the
-// first success after failures. Outcomes in between move the manager's
-// trust, which the record reads through kb::TrustAt.
-TEST(SecurityManager, PublishesTrustToRegistry) {
-  kb::Store store;
-  kb::ResourceRegistry registry(store);
-  registry.PutNode({.node_id = "edge-0", .layer = "edge"});
+// Only transitions move a node's state: the first failure after successes
+// and the first success after failures. Outcomes in between move the
+// manager's trust, which a record carrying the state reads through
+// kb::TrustAt.
+TEST(SecurityManager, StateOfMovesOnlyAtTransitions) {
   PrivacySecurityManager psm;
-  const auto record = [&registry] {
-    auto r = registry.GetNode("edge-0");
-    EXPECT_TRUE(r.ok());
-    return r.ok() ? *r : kb::NodeRecord{};
+  const TrustSlot slot = psm.Slot("edge-0");
+  const auto record = [&psm, slot] {
+    return kb::NodeRecord{.node_id = "edge-0", .trust = psm.StateOf(slot)};
   };
-  psm.RecordOutcome("edge-0", false, 5);
-  psm.PublishTrust(registry);
-  EXPECT_EQ(record().trust,
-            (kb::TrustState{.value = 0.7, .healing = false, .iteration = 5}));
-  const std::int64_t failed_at = store.revision();
-  for (std::uint64_t i = 6; i <= 8; ++i) {
-    psm.RecordOutcome("edge-0", false, i);
-    psm.PublishTrust(registry);
-  }
-  EXPECT_EQ(store.revision(), failed_at) << "decay steps write nothing";
-  EXPECT_EQ(kb::TrustAt(record(), 8), psm.TrustOf("edge-0"));
+  EXPECT_EQ(psm.StateOf(slot), kb::TrustState{}) << "never failed: healed";
+  psm.RecordOutcome(slot, false, 5);
+  const kb::TrustState failed{.value = 0.7, .healing = false, .iteration = 5};
+  EXPECT_EQ(psm.StateOf(slot), failed);
+  for (std::uint64_t i = 6; i <= 8; ++i) psm.RecordOutcome(slot, false, i);
+  EXPECT_EQ(psm.StateOf(slot), failed) << "decay steps are no transition";
+  EXPECT_EQ(kb::TrustAt(record(), 8), psm.TrustOf(slot));
 
-  psm.RecordOutcome("edge-0", true, 9);
-  psm.PublishTrust(registry);
-  EXPECT_EQ(store.revision(), failed_at + 1);
-  EXPECT_TRUE(record().trust.healing);
-  EXPECT_EQ(record().trust.iteration, 9u);
+  psm.RecordOutcome(slot, true, 9);
+  const kb::TrustState healing = psm.StateOf(slot);
+  EXPECT_TRUE(healing.healing);
+  EXPECT_EQ(healing.iteration, 9u);
+  EXPECT_EQ(healing.value, psm.TrustOf(slot));
   std::uint64_t iteration = 9;
-  while (psm.RecordOutcome("edge-0", true, ++iteration)) {
-    psm.PublishTrust(registry);
+  while (psm.RecordOutcome(slot, true, ++iteration)) {
+    EXPECT_EQ(psm.StateOf(slot), healing) << "healing steps are no transition";
   }
-  EXPECT_EQ(store.revision(), failed_at + 1) << "healing writes nothing";
-  EXPECT_EQ(kb::TrustAt(record(), iteration), psm.TrustOf("edge-0"));
-  EXPECT_LT(psm.TrustOf("edge-0"), 1.0);
-
-  // A transition on a node without a record waits for the record.
-  psm.RecordOutcome("late", false, 1);
-  psm.PublishTrust(registry);
-  EXPECT_EQ(store.revision(), failed_at + 1);
-  registry.PutNode({.node_id = "late", .layer = "cloud"});
-  psm.PublishTrust(registry);
-  auto late = registry.GetNode("late");
-  ASSERT_TRUE(late.ok());
-  EXPECT_EQ(late->trust, psm.StateOf(psm.Slot("late")));
-  EXPECT_FALSE(late->trust.healing);
+  EXPECT_EQ(kb::TrustAt(record(), iteration), psm.TrustOf(slot));
+  EXPECT_LT(psm.TrustOf(slot), 1.0);
 }
 
 // After an operating-point change every capacity read agrees: the node's

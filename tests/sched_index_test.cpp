@@ -1,4 +1,4 @@
-// NodeIndex internals (bitmaps, inverted indexes, candidate cache, the rank
+// NodeIndex internals (bitmaps, inverted indexes, ranked classes, the rank
 // tree and its bounds) and the differential against the full-scan oracle: the
 // indexed scheduler must produce the oracle's verdicts, scores and failure
 // messages on randomized fleets, pods, same-shape batches, and churn.
@@ -257,7 +257,7 @@ TEST(NodeIndex, StructuralMutationsMoveBitmapMembership) {
             (std::vector<std::string>{"e1"}));
 }
 
-TEST(NodeIndex, CandidateCacheHitsUntilStructuralChange) {
+TEST(NodeIndex, RankedClassSurvivesAllocationChurnUntilStructuralChange) {
   IndexFixture f;
   f.AddNode("e0", Layer::kEdge, security::SecurityLevel::kLow, false);
   f.AddNode("e1", Layer::kEdge, security::SecurityLevel::kLow, false);
@@ -265,24 +265,23 @@ TEST(NodeIndex, CandidateCacheHitsUntilStructuralChange) {
   CandidateQuery q;
   q.restrict_cordoned = true;
   const NodeIndex::Stats start = f.index.stats();
-  (void)f.index.Candidates(q);
-  (void)f.index.Candidates(q);
-  EXPECT_EQ(f.index.stats().cache_misses, start.cache_misses + 1);
-  EXPECT_EQ(f.index.stats().cache_hits, start.cache_hits + 1);
+  (void)f.index.Ranked(q, 1.0, 64);
+  (void)f.index.Ranked(q, 1.0, 64);
+  EXPECT_EQ(f.index.stats().rank_builds, start.rank_builds + 1);
+  EXPECT_EQ(f.index.stats().rank_hits, start.rank_hits + 1);
 
-  // Allocation churn is non-structural: the cache survives.
+  // Allocation churn is non-structural: the class survives.
   f.index.AddAllocation(0, 1.0, 64);
   f.index.SubAllocation(0, 1.0, 64);
-  (void)f.index.Candidates(q);
-  EXPECT_EQ(f.index.stats().cache_misses, start.cache_misses + 1);
-  EXPECT_EQ(f.index.stats().cache_hits, start.cache_hits + 2);
+  (void)f.index.Ranked(q, 1.0, 64);
+  EXPECT_EQ(f.index.stats().rank_builds, start.rank_builds + 1);
+  EXPECT_EQ(f.index.stats().rank_hits, start.rank_hits + 2);
 
-  // A structural mutation invalidates and forces a rebuild.
-  const std::uint64_t invalidations = f.index.stats().invalidations;
+  // A structural mutation drops the class and forces a rebuild.
   f.index.SetLabel(0, "zone", "a");
-  EXPECT_EQ(f.index.stats().invalidations, invalidations + 1);
-  (void)f.index.Candidates(q);
-  EXPECT_EQ(f.index.stats().cache_misses, start.cache_misses + 2);
+  EXPECT_EQ(f.index.ranked_classes(), 0u);
+  (void)f.index.Ranked(q, 1.0, 64);
+  EXPECT_EQ(f.index.stats().rank_builds, start.rank_builds + 2);
 }
 
 TEST(Cluster, BindBatchIsAdmittedThroughOneCandidateBuild) {
@@ -300,8 +299,7 @@ TEST(Cluster, BindBatchIsAdmittedThroughOneCandidateBuild) {
     ASSERT_TRUE(cluster.BindPod(pod).ok());
   }
   // Binds only touch the allocation ledger, so the whole same-shape batch
-  // reuses one cached candidate set, ranked once and then kept current.
-  EXPECT_EQ(cluster.index().stats().cache_misses, start.cache_misses + 1);
+  // reuses one candidate set, ranked once and then kept current.
   EXPECT_EQ(cluster.index().stats().rank_builds, start.rank_builds + 1);
   EXPECT_EQ(cluster.index().stats().rank_hits, start.rank_hits + 7);
 }
