@@ -1,6 +1,6 @@
 // Experiment A10: the discrete-event engine's own cost. Every simulated
 // result rides on sim::Engine, so its events/s bounds how much continuum a
-// host second can simulate. Three rows, each a shape the continuum produces:
+// host second can simulate. Four rows, each a shape the continuum produces:
 //
 //   schedule_pop     hold model: a steady queue where every fired event
 //                    schedules its successor (link hops, compute stages);
@@ -8,7 +8,11 @@
 //                    reply cancels a few ms later, 99% of the time; the
 //                    cancelled timeouts stay queued as dead entries;
 //   periodic         periodic series re-arming (MAPE loops, heartbeats),
-//                    half of them cancelled mid-run.
+//                    half of them cancelled mid-run;
+//   same_time_burst  fan-out: each source firing schedules a burst of events
+//                    at Now() (a broadcast's local deliveries) plus one
+//                    event 10 s out; the burst queues behind the running
+//                    event, so it is the queue's same-time append path.
 //
 // Events/s is hardware-dependent and ungated. The gated values are
 // deterministic: events executed, entries still queued at the deadline, and
@@ -134,6 +138,36 @@ RowResult RunPeriodic(sim::SimTime horizon) {
   return Finish(engine, order, t0);
 }
 
+/// 64 sources, each firing U[0, 1) ms after its last firing; a firing
+/// schedules 32 events at Now() and one 10 s later.
+RowResult RunSameTimeBurst(sim::SimTime horizon) {
+  constexpr std::uint64_t kSources = 64;
+  constexpr std::uint64_t kBurst = 32;
+  sim::Engine engine;
+  util::Rng rng(1, "bench.engine.burst");
+  OrderHash order;
+  std::uint64_t next_id = 0;
+  std::function<void()> fire = [&] {
+    engine.ScheduleAfter(
+        sim::SimTime::Nanos(static_cast<std::int64_t>(rng.NextBounded(1'000'000))),
+        [&] {
+          const std::uint64_t id = next_id++;
+          order.Mix(id);
+          for (std::uint64_t b = 0; b < kBurst; ++b) {
+            engine.ScheduleAt(engine.Now(),
+                              [&, id, b] { order.Mix((id << 6) | b); });
+          }
+          engine.ScheduleAfter(sim::SimTime::Seconds(10),
+                               [&, id] { order.Mix(id | (1ull << 63)); });
+          fire();
+        });
+  };
+  for (std::uint64_t i = 0; i < kSources; ++i) fire();
+  const auto t0 = std::chrono::steady_clock::now();
+  engine.RunUntil(horizon);
+  return Finish(engine, order, t0);
+}
+
 struct Row {
   const char* name;
   RowResult result;
@@ -152,6 +186,8 @@ void RunAblation(const std::string& out_path) {
        RunScheduleCancel(sim::SimTime::Seconds(g_quick ? 12 : 30),
                          g_quick ? 16 : 64)},
       {"periodic", RunPeriodic(sim::SimTime::Seconds(g_quick ? 1 : 10))},
+      {"same_time_burst",
+       RunSameTimeBurst(sim::SimTime::Millis(g_quick ? 100 : 1000))},
   };
   std::printf("%-16s | %10s | %9s | %-18s | %s\n", "row", "executed",
               "pending", "order hash", "events/s");
@@ -209,6 +245,17 @@ void BM_ScheduleCancel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_ScheduleCancel)->Unit(benchmark::kMillisecond);
+
+void BM_SameTimeBurst(benchmark::State& state) {
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const RowResult r = RunSameTimeBurst(sim::SimTime::Millis(20));
+    events += r.executed;
+    benchmark::DoNotOptimize(r.order_hash);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_SameTimeBurst)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

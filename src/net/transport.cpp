@@ -258,9 +258,9 @@ void Network::Deliver(std::uint32_t f) {
   ReleaseFrame(f);
 }
 
-std::uint32_t Network::InternMethod(const std::string& method) {
+Network::MethodId Network::InternMethod(const std::string& method) {
   const auto [it, inserted] = method_ids_.try_emplace(
-      method, static_cast<std::uint32_t>(method_names_.size()));
+      method, static_cast<MethodId>(method_names_.size()));
   if (inserted) method_names_.push_back(method);
   return it->second;
 }
@@ -279,7 +279,7 @@ void Network::RegisterAsyncRpc(const HostId& host, const std::string& method,
                                AsyncRpcHandler handler) {
   topology_.AddHost(host);
   const std::size_t h = topology_.HostIndex(host);
-  const std::uint32_t m = InternMethod(method);
+  const MethodId m = InternMethod(method);
   if (h >= rpc_slots_.size()) rpc_slots_.resize(h + 1);
   std::vector<std::uint32_t>& slots = rpc_slots_[h];
   if (m >= slots.size()) slots.resize(m + 1, 0);
@@ -295,6 +295,16 @@ void Network::Call(const HostId& from, const HostId& to,
                    const std::string& method, util::Json request,
                    RpcCallback on_reply, sim::SimTime timeout,
                    Protocol protocol, std::size_t body_bytes, int priority) {
+  Call(from, to, InternMethod(method), std::move(request), std::move(on_reply),
+       timeout, protocol, body_bytes, priority);
+}
+
+void Network::Call(const HostId& from, const HostId& to, MethodId method_id,
+                   util::Json request, RpcCallback on_reply,
+                   sim::SimTime timeout, Protocol protocol,
+                   std::size_t body_bytes, int priority) {
+  // Nothing below interns a method, so the name stays put.
+  const std::string& method = method_names_[method_id];
   const std::uint64_t call_id = next_call_id_++;
 
   PendingCall pending;
@@ -333,7 +343,7 @@ void Network::Call(const HostId& from, const HostId& to,
   frame.msg.protocol = protocol;
   frame.msg.priority = priority;
   frame.call_id = call_id;
-  frame.method = InternMethod(method);
+  frame.method = method_id;
   frame.tctx = call_span;
   frame.msg.body_bytes =
       body_bytes != 0 ? body_bytes

@@ -91,6 +91,8 @@ class Network {
   using AsyncRpcHandler = std::function<void(
       const HostId& caller, const util::Json& request, RpcResponder respond)>;
 
+  using MethodId = std::uint32_t;
+
   void RegisterRpc(const HostId& host, const std::string& method,
                    RpcHandler handler);
   void RegisterAsyncRpc(const HostId& host, const std::string& method,
@@ -105,6 +107,15 @@ class Network {
             sim::SimTime timeout = sim::SimTime::Seconds(5),
             Protocol protocol = Protocol::kHttp, std::size_t body_bytes = 0,
             int priority = 1);
+  /// Call() by a method id from InternMethod(), for callers that call one
+  /// method often: the name is not hashed again per call.
+  void Call(const HostId& from, const HostId& to, MethodId method,
+            util::Json request, RpcCallback on_reply,
+            sim::SimTime timeout = sim::SimTime::Seconds(5),
+            Protocol protocol = Protocol::kHttp, std::size_t body_bytes = 0,
+            int priority = 1);
+  /// The id of an RPC method name, stable for this network's lifetime.
+  MethodId InternMethod(const std::string& method);
 
   /// Call() plus a retry loop: retryable failures (UNAVAILABLE,
   /// DEADLINE_EXCEEDED) are re-driven with exponential backoff + seeded
@@ -148,7 +159,7 @@ class Network {
     RouteRef route;         // fixed at send time
     std::size_t hop = 0;    // next link on `route`
     std::uint64_t call_id = 0;
-    std::uint32_t method = 0;      // interned name (requests)
+    MethodId method = 0;           // interned name (requests)
     telemetry::SpanContext tctx;   // caller span (requests)
     bool ok = true;                // replies: result or error
     util::StatusCode code = util::StatusCode::kOk;
@@ -168,7 +179,6 @@ class Network {
   void SendReply(std::size_t from, std::size_t to, bool loopback,
                  Protocol protocol, int priority, std::uint64_t call_id,
                  util::StatusOr<util::Json> result);
-  std::uint32_t InternMethod(const std::string& method);
 
   sim::Engine& engine_;
   Topology topology_;
@@ -183,7 +193,7 @@ class Network {
   // Handlers by host index, in deques so a handler registering another one
   // never moves the one that is running.
   std::deque<MessageHandler> handlers_;
-  std::unordered_map<std::string, std::uint32_t> method_ids_;
+  std::unordered_map<std::string, MethodId> method_ids_;
   std::vector<std::string> method_names_;  // by method id
   std::deque<AsyncRpcHandler> rpc_handlers_;
   // rpc_slots_[host][method] = 1 + index into rpc_handlers_ (0 = none).

@@ -2,8 +2,9 @@
 // determinism matters more than parallel speed for orchestration experiments,
 // and ties are broken by a monotonically increasing sequence number so two
 // runs with the same seed produce identical traces. The event store is a
-// calendar queue (sim/calendar_queue.hpp): O(1) amortized push/pop versus the
-// binary heap's O(log n), with the identical (time, seq) pop order.
+// ladder queue (sim/ladder_queue.hpp): O(1) amortized push/pop under skewed
+// event times (microsecond hops beside parked 10 s timeouts), with the
+// binary heap's exact (time, seq) pop order.
 //
 // Callbacks live in a slab of slots, not in the queue. A queued entry is a
 // plain (time, seq, slot, generation) record; an EventHandle is the same
@@ -11,7 +12,7 @@
 // fires, or its event is cancelled) the slot's generation is bumped, so any
 // handle or queued entry still carrying the old generation is dead by
 // construction: a pop compares two integers instead of consulting a
-// tombstone set, and a stale Cancel is a no-op. Deletion from the calendar
+// tombstone set, and a stale Cancel is a no-op. Deletion from the queue
 // stays lazy: a cancelled event's entry remains queued (and counts in
 // pending_events()) until it reaches the head, where a dead one-shot is
 // dropped uncounted and a dead periodic tick fires as a counted no-op.
@@ -26,7 +27,7 @@
 #include <functional>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
+#include "sim/ladder_queue.hpp"
 #include "sim/time.hpp"
 #include "util/units.hpp"
 
@@ -121,7 +122,7 @@ class Engine {
   bool PopNext(QueuedEvent& out);
   void Fire(const QueuedEvent& ev);
 
-  CalendarQueue queue_;
+  LadderQueue queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;  // LIFO: reuse the warmest slot
   SimTime now_ = SimTime::Zero();

@@ -149,7 +149,8 @@ RequestPipeline::RequestPipeline(net::Network& network,
       infra_(infra),
       cluster_(cluster),
       scenario_(scenario),
-      relay_method_("pipeline.continue/" + scenario.name) {
+      relay_method_("pipeline.continue/" + scenario.name),
+      relay_method_id_(network.InternMethod(relay_method_)) {
   for (const Stage& stage : scenario.stages) {
     pod_names_.push_back(scenario.name + "/" + stage.pod_name);
   }
@@ -225,7 +226,7 @@ void RequestPipeline::RunStage(std::size_t stage_index,
   const std::uint64_t token = next_token_++;
   pending_[token] = compute;
   network_.Call(
-      at_host, target, relay_method_,
+      at_host, target, relay_method_id_,
       util::Json::MakeObject().Set("token", token),
       [this, started, energy_acc, token](util::StatusOr<util::Json> reply) {
         if (!reply.ok()) {

@@ -103,9 +103,10 @@ class RequestPipeline {
   sched::Cluster& cluster_;
   const Scenario& scenario_;
   // Built once from the scenario, which must not change after construction:
-  // each stage's pod name and the relay RPC method.
+  // each stage's pod name and the relay RPC method, by name and by id.
   std::vector<std::string> pod_names_;
   std::string relay_method_;
+  net::Network::MethodId relay_method_id_;
   ScenarioKpis kpis_;
   std::map<std::uint64_t, std::function<void()>> pending_;
   std::set<std::string> relay_hosts_;

@@ -202,6 +202,45 @@ TEST(Network, RpcRoundtrip) {
   EXPECT_TRUE(replied);
 }
 
+TEST(Network, CallByMethodIdMatchesCallByName) {
+  // Same seed, same calls: one network names the method per call, the other
+  // passes the id it interned once. Replies, timing and bytes must agree.
+  struct Run {
+    sim::Engine engine;
+    std::unique_ptr<Network> net;
+    std::vector<std::int64_t> reply_ns;
+  };
+  const auto run = [](bool by_id) {
+    auto r = std::make_unique<Run>();
+    r->net = std::make_unique<Network>(r->engine, LineTopology(), 7);
+    r->net->RegisterRpc("cloud", "pipeline.continue/echo",
+                        [](const HostId&, const util::Json& req)
+                            -> util::StatusOr<util::Json> { return req; });
+    const Network::MethodId id = r->net->InternMethod("pipeline.continue/echo");
+    EXPECT_EQ(r->net->InternMethod("pipeline.continue/echo"), id);
+    for (std::int64_t i = 0; i < 5; ++i) {
+      const auto on_reply = [&r = *r, i](util::StatusOr<util::Json> reply) {
+        ASSERT_TRUE(reply.ok());
+        EXPECT_EQ(reply->as_int(), i);
+        r.reply_ns.push_back(r.engine.Now().ns);
+      };
+      if (by_id) {
+        r->net->Call("edge", "cloud", id, util::Json(i), on_reply);
+      } else {
+        r->net->Call("edge", "cloud", "pipeline.continue/echo", util::Json(i),
+                     on_reply);
+      }
+    }
+    r->engine.Run();
+    return r;
+  };
+  const auto by_name = run(false);
+  const auto by_id = run(true);
+  EXPECT_EQ(by_id->reply_ns.size(), 5u);
+  EXPECT_EQ(by_id->reply_ns, by_name->reply_ns);
+  EXPECT_EQ(by_id->net->bytes_sent(), by_name->net->bytes_sent());
+}
+
 TEST(Network, RpcErrorPropagates) {
   sim::Engine engine;
   Network net(engine, LineTopology(), 1);
